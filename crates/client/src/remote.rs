@@ -185,10 +185,12 @@ pub fn fetch_backup<E: ProviderEndpoint>(
 
 /// Runs the full Figure 3 recovery over the channel: log the attempt,
 /// run an epoch, fetch the inclusion proof, contact the cluster,
-/// reconstruct. Per-HSM refusals with transport-fault or fail-stop
-/// codes are skipped (recovery succeeds as long as the surviving shares
-/// reach the threshold); any other per-HSM refusal is surfaced as
-/// [`RemoteError::Refused`].
+/// reconstruct. Per-HSM refusals with transport-fault, fail-stop or
+/// decryption-failure codes are skipped: recovery succeeds as long as
+/// the surviving shares reach the threshold, and fails with
+/// [`ClientError::NotEnoughShares`] otherwise (a wrong PIN reaches
+/// only HSMs that cannot decrypt). Any other per-HSM refusal is
+/// surfaced as [`RemoteError::Refused`].
 pub fn recover<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     endpoint: &mut E,
     client: &Client,
@@ -238,7 +240,13 @@ pub fn recover<E: ProviderEndpoint, R: rand::RngCore + rand::CryptoRng>(
     for (_, resp) in items {
         match resp {
             HsmResponse::RecoveryShare { response, .. } => responses.push(response),
-            HsmResponse::Error(e) if e.is_transport_fault() || e.code == codes::UNAVAILABLE => {
+            // A DECRYPT_FAILED share (e.g. a Bloom-filter false positive
+            // on one device) costs that share, not the recovery.
+            HsmResponse::Error(e)
+                if e.is_transport_fault()
+                    || e.code == codes::UNAVAILABLE
+                    || e.code == codes::DECRYPT_FAILED =>
+            {
                 continue
             }
             HsmResponse::Error(e) => return Err(RemoteError::Refused(e)),

@@ -579,8 +579,9 @@ impl<S: BlockStore + Send> Deployment<S> {
     /// Runs the full Figure 3 recovery flow: log the attempt, run a log
     /// epoch, fetch the inclusion proof, contact the cluster, reconstruct.
     ///
-    /// Fail-stopped HSMs are skipped (recovery succeeds as long as the
-    /// live shares reach the threshold).
+    /// Fail-stopped HSMs and HSMs that cannot decrypt their share are
+    /// skipped: recovery succeeds as long as the remaining shares reach
+    /// the threshold, and fails with `NotEnoughShares` otherwise.
     pub fn recover<R: RngCore + CryptoRng>(
         &mut self,
         client: &Client,
@@ -619,8 +620,10 @@ impl<S: BlockStore + Send> Deployment<S> {
         // carrying every per-HSM request in a single envelope. The
         // window is now open; it closes HSM-by-HSM as each punctures
         // before replying. Unavailable devices (fail-stopped, or their
-        // reply lost in transit) are skipped: recovery succeeds as long
-        // as the surviving shares reach the threshold.
+        // reply lost in transit) and devices whose decryption failed (a
+        // Bloom-filter false positive, or a wrong PIN's cluster) are
+        // skipped: recovery succeeds as long as the surviving shares
+        // reach the threshold.
         let mut phases = RecoveryPhases::default();
         let mut responses = Vec::new();
         let requests = attempt.requests(&inclusion);
@@ -633,7 +636,7 @@ impl<S: BlockStore + Send> Deployment<S> {
                         phases.add(&p);
                         responses.push(response);
                     }
-                    Err(HsmError::Unavailable) => continue,
+                    Err(HsmError::Unavailable | HsmError::DecryptFailed) => continue,
                     Err(e) => return Err(ProviderError::Hsm(e).into()),
                 }
             }
@@ -814,7 +817,7 @@ impl<S: BlockStore + Send> Deployment<S> {
                             phases.add(&p);
                             responses.push(response);
                         }
-                        Err(HsmError::Unavailable) => continue,
+                        Err(HsmError::Unavailable | HsmError::DecryptFailed) => continue,
                         Err(e) => {
                             hard_error = Some(ProviderError::Hsm(e).into());
                             break;

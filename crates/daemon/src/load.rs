@@ -410,8 +410,12 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, RemoteError> {
             for (_, reply) in replies {
                 match reply {
                     HsmResponse::RecoveryShare { response, .. } => responses.push(response),
+                    // One device's DECRYPT_FAILED (a Bloom-filter false
+                    // positive) costs that share, not the wave.
                     HsmResponse::Error(e)
-                        if e.is_transport_fault() || e.code == codes::UNAVAILABLE =>
+                        if e.is_transport_fault()
+                            || e.code == codes::UNAVAILABLE
+                            || e.code == codes::DECRYPT_FAILED =>
                     {
                         continue
                     }

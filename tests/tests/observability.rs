@@ -178,11 +178,13 @@ fn faulty_injections_land_in_telemetry_exactly() {
 }
 
 /// Acceptance criterion: a load storm with telemetry enabled stays
-/// within 10% of untelemetered throughput. Each mode runs twice
-/// against a fresh daemon and the minima are compared — the minimum
-/// approximates the noise-free floor, and the storm is dominated by
-/// P-256 crypto, so the counters' relaxed atomics are far below the
-/// bound.
+/// within 10% of untelemetered throughput. Each mode runs eleven times
+/// against a fresh daemon and the medians are compared. A quick storm
+/// takes about 0.1 s in a debug build, and on a shared two-core host
+/// single storms of identical code spread from 0.07 to 0.2 s, so the
+/// minimum of a few runs is set by one lucky sample; the median of many
+/// interleaved runs is not. The counters' relaxed atomics are far below
+/// the bound.
 #[test]
 fn telemetry_overhead_stays_within_ten_percent() {
     let _guard = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
@@ -200,17 +202,21 @@ fn telemetry_overhead_stays_within_ten_percent() {
 
     // Interleave the modes so slow-start noise (page cache, CPU
     // governor) cannot bias one side.
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    for round in 0..2u64 {
-        disabled = disabled.min(storm("off", 0x0FF_000 + round, false));
-        enabled = enabled.min(storm("on", 0x0DD_000 + round, true));
+    let (mut disabled, mut enabled) = (Vec::new(), Vec::new());
+    for round in 0..11u64 {
+        disabled.push(storm("off", 0x0FF_000 + round, false));
+        enabled.push(storm("on", 0x0DD_000 + round, true));
     }
     safetypin_telemetry::global().set_enabled(true);
+    let median = |mut secs: Vec<f64>| {
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
+    };
+    let (disabled, enabled) = (median(disabled), median(enabled));
 
     assert!(
         enabled <= disabled * 1.10,
-        "telemetry-enabled storm took {enabled:.3}s vs {disabled:.3}s untelemetered \
-         (more than 10% slower)"
+        "telemetry-enabled storms took a median {enabled:.3}s vs {disabled:.3}s \
+         untelemetered (more than 10% slower)"
     );
 }

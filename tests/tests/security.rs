@@ -3,8 +3,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use safetypin::client::{remote, ClientError};
 use safetypin::lhe::select;
-use safetypin::{Deployment, SystemParams};
+use safetypin::proto::{
+    codes, Direct, ErrorReply, HsmResponse, ProtoError, ServeTrafficFn, Traffic, TrafficReply,
+    Transport, TransportStats,
+};
+use safetypin::{Deployment, DeploymentError, RecoverManyOptions, RecoverySession, SystemParams};
 
 #[test]
 fn adaptive_compromise_misses_hidden_cluster() {
@@ -130,6 +135,154 @@ fn wrong_pin_learns_nothing_but_burns_attempt() {
     // the documented §8 failure mode motivating per-recovery keys.
     let second = d.recover(&user, b"123123", &artifact, &mut rng);
     assert!(second.is_err());
+}
+
+/// A `Direct` transport that rewrites the first `RecoveryShare` reply of
+/// every cluster round into a `DECRYPT_FAILED` refusal: one device whose
+/// Bloom filter reports a false positive for the user's tag.
+#[derive(Default)]
+struct OneShareFails {
+    inner: Direct,
+}
+
+impl Transport for OneShareFails {
+    fn name(&self) -> &'static str {
+        "one-share-fails"
+    }
+
+    fn round(
+        &mut self,
+        traffic: Traffic,
+        serve: &mut ServeTrafficFn<'_>,
+    ) -> Result<TrafficReply, ProtoError> {
+        let mut reply = self.inner.round(traffic, serve)?;
+        let replies: Vec<&mut HsmResponse> = match &mut reply {
+            TrafficReply::Batch(items) => items.iter_mut().map(|(_, r)| r).collect(),
+            TrafficReply::Grouped(groups) => groups.iter_mut().flat_map(|(_, g)| g).collect(),
+            _ => Vec::new(),
+        };
+        if let Some(share) = replies
+            .into_iter()
+            .find(|r| matches!(r, HsmResponse::RecoveryShare { .. }))
+        {
+            *share = HsmResponse::Error(ErrorReply::new(
+                codes::DECRYPT_FAILED,
+                "bloom filter false positive",
+            ));
+        }
+        Ok(reply)
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+
+    fn take_stats(&mut self) -> TransportStats {
+        self.inner.take_stats()
+    }
+}
+
+fn one_bad_share_deployment(seed: u64) -> (Deployment, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut d = Deployment::provision(SystemParams::test_small(32), &mut rng).unwrap();
+    d.datacenter
+        .set_transport(Box::new(OneShareFails::default()));
+    (d, rng)
+}
+
+#[test]
+fn one_bad_share_does_not_sink_recovery() {
+    let (mut d, mut rng) = one_bad_share_deployment(16);
+    let mut user = d.new_client(b"fp-user").unwrap();
+    let artifact = user.backup(b"246810", b"secret", 0, &mut rng).unwrap();
+    let logged = d.datacenter.log_entries().len();
+
+    let outcome = d.recover(&user, b"246810", &artifact, &mut rng).unwrap();
+    assert_eq!(outcome.message, b"secret");
+    assert_eq!(outcome.responders, outcome.contacted - 1);
+    assert_eq!(d.datacenter.log_entries().len(), logged + 1);
+}
+
+#[test]
+fn one_bad_share_does_not_sink_remote_recovery() {
+    let (mut d, mut rng) = one_bad_share_deployment(17);
+    let mut serve_rng = StdRng::seed_from_u64(170);
+    let mut user = d.new_client(b"fp-remote-user").unwrap();
+    let mut endpoint = |request| Ok(d.datacenter.handle(request, &mut serve_rng));
+    let artifact = remote::save(&mut endpoint, &mut user, b"246810", b"secret", &mut rng).unwrap();
+    let logged = d.datacenter.log_entries().len();
+
+    let mut endpoint = |request| Ok(d.datacenter.handle(request, &mut serve_rng));
+    let secret = remote::recover(&mut endpoint, &user, b"246810", &artifact, &mut rng).unwrap();
+    assert_eq!(secret, b"secret");
+    assert_eq!(d.datacenter.log_entries().len(), logged + 1);
+}
+
+#[test]
+fn one_bad_share_does_not_sink_a_recovery_wave() {
+    let (mut d, mut rng) = one_bad_share_deployment(18);
+    let mut users = Vec::new();
+    for i in 0..4 {
+        let mut user = d.new_client(format!("fp-wave-{i}").as_bytes()).unwrap();
+        let artifact = user.backup(b"246810", b"secret", 0, &mut rng).unwrap();
+        users.push((user, artifact));
+    }
+    let logged = d.datacenter.log_entries().len();
+
+    let sessions: Vec<RecoverySession<'_>> = users
+        .iter()
+        .map(|(client, artifact)| RecoverySession {
+            client,
+            pin: b"246810",
+            artifact,
+        })
+        .collect();
+    let outcomes = d.recover_many(&sessions, RecoverManyOptions::default(), &mut rng);
+    let mut short = 0;
+    for outcome in outcomes {
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.message, b"secret");
+        short += outcome.contacted - outcome.responders;
+    }
+    assert_eq!(short, 1, "exactly one share was rewritten");
+    assert_eq!(d.datacenter.log_entries().len(), logged + users.len());
+}
+
+#[test]
+fn wrong_pin_fails_for_want_of_shares_and_burns_one_attempt() {
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut d = Deployment::provision(SystemParams::test_small(32), &mut rng).unwrap();
+    let mut serve_rng = StdRng::seed_from_u64(190);
+
+    let mut user = d.new_client(b"wp-local").unwrap();
+    let artifact = user.backup(b"123123", b"secret", 0, &mut rng).unwrap();
+    let logged = d.datacenter.log_entries().len();
+    let wrong = d.recover(&user, b"321321", &artifact, &mut rng);
+    assert!(
+        matches!(
+            wrong,
+            Err(DeploymentError::Client(ClientError::NotEnoughShares { .. }))
+        ),
+        "{wrong:?}"
+    );
+    assert_eq!(d.datacenter.log_entries().len(), logged + 1);
+
+    let mut user = d.new_client(b"wp-remote").unwrap();
+    let mut endpoint = |request| Ok(d.datacenter.handle(request, &mut serve_rng));
+    let artifact = remote::save(&mut endpoint, &mut user, b"123123", b"secret", &mut rng).unwrap();
+    let logged = d.datacenter.log_entries().len();
+    let mut endpoint = |request| Ok(d.datacenter.handle(request, &mut serve_rng));
+    let wrong = remote::recover(&mut endpoint, &user, b"321321", &artifact, &mut rng);
+    assert!(
+        matches!(
+            wrong,
+            Err(remote::RemoteError::Client(
+                ClientError::NotEnoughShares { .. }
+            ))
+        ),
+        "{wrong:?}"
+    );
+    assert_eq!(d.datacenter.log_entries().len(), logged + 1);
 }
 
 #[test]
