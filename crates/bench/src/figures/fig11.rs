@@ -55,11 +55,12 @@ pub fn run() {
         let mut responses = Vec::new();
         let requests = attempt.requests(&inclusion);
         let contacted = requests.len();
-        for (hsm_id, request) in requests {
-            let (response, p) = deployment
-                .datacenter
-                .route_recovery_with_phases(hsm_id, &request, &mut rng)
-                .unwrap();
+        let served = deployment
+            .datacenter
+            .route_recovery(vec![requests], usize::MAX, &mut rng)
+            .unwrap();
+        for (_, item) in served.into_iter().flatten() {
+            let (response, p) = item.unwrap();
             phases.add(&p);
             responses.push(response);
         }

@@ -560,11 +560,12 @@ fn cold_start(report: &mut Report, scale: &Scale) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Part 5: the multi-user recovery throughput engine — recoveries/sec
-/// vs concurrency, serial one-at-a-time baseline vs
-/// `Deployment::recover_many` (cross-user coalesced envelopes, batched
-/// punctures, group-commit durability), plus the fsync-per-recovery and
-/// MSM-vs-naive scalar-multiplication counters.
+/// Part 5: multi-user recovery throughput — recoveries/sec vs
+/// concurrency, N waves of one (`Deployment::recover`, one at a time)
+/// vs one wave of N (`Deployment::recover_many`: cross-user coalesced
+/// envelopes, batched punctures, group-commit durability), plus the
+/// fsync-per-recovery and MSM scalar-multiplication counters. Both
+/// sides run the same code; only the wave size differs.
 fn throughput(report: &mut Report, scale: &Scale) {
     let params = SystemParams::scaled(scale.fleet, scale.cluster, scale.slots).unwrap();
     let base =
@@ -574,7 +575,7 @@ fn throughput(report: &mut Report, scale: &Scale) {
     let dir_engine = base.join("engine");
 
     // One provisioned fleet persisted twice: two independent on-disk
-    // twins, so the serial baseline and the engine each mutate their own
+    // twins, so the waves of one and the one wave each mutate their own
     // crash-safe FileStore state (where fsyncs and cache hits are real).
     let mut rng = StdRng::seed_from_u64(0x7410);
     let mut fleet = Deployment::provision(params, &mut rng).unwrap();
@@ -591,7 +592,7 @@ fn throughput(report: &mut Report, scale: &Scale) {
 
     report.section(
         format!(
-            "5. throughput engine: multi-user recovery, serial vs engine \
+            "5. throughput: multi-user recovery, N waves of one vs one wave of N \
              (N = {}, {}-slot keys, FileStore-backed)",
             scale.fleet, scale.slots
         )
@@ -602,18 +603,9 @@ fn throughput(report: &mut Report, scale: &Scale) {
     let mut user_counter = 0u64;
     let mut engine_hit_rate_last = 0.0f64;
     for &users in scale.throughput_users {
-        // A recovery consumes its log identifier, so repeated trials
-        // need fresh users. The single-user rung runs five trials per
-        // path and reports the fastest: with the engine's single-user
-        // fast path the two code paths are identical, and min-of-5
-        // keeps a scheduler hiccup from reading as a regression.
-        // Trials interleave (serial 0, engine 0, serial 1, ...) so
-        // slow process drift — allocator state, page cache — lands on
-        // both paths instead of being booked against whichever path
-        // happens to run second; each interleaved pair also yields one
-        // engine/serial ratio for the parity gate below.
-        let trials = if users == 1 { 5 } else { 1 };
-        let names: Vec<String> = (0..users * trials as u64)
+        // A recovery consumes its log identifier, so every rung needs
+        // fresh users.
+        let names: Vec<String> = (0..users)
             .map(|_| {
                 let name = format!("tp-user-{user_counter}");
                 user_counter += 1;
@@ -644,56 +636,37 @@ fn throughput(report: &mut Report, scale: &Scale) {
 
         let serial_store_before = serial.datacenter.fleet_store_stats();
         let engine_store_before = engine.datacenter.fleet_store_stats();
-        let mut serial_trials = Vec::with_capacity(trials);
-        let mut engine_trials = Vec::with_capacity(trials);
-        let mut serial_ops = p256::OpCounts::default();
-        let mut engine_ops = p256::OpCounts::default();
-        let wave = users as usize;
-        for trial in 0..trials {
-            // --- serial baseline: one epoch + one cluster round per
-            // user, one WAL commit per served request. ---
-            let chunk = &serial_sessions[trial * wave..][..wave];
-            let _ = p256::take_op_counts();
-            let (_, trial_secs) = time_once(|| {
-                for (client, artifact) in chunk {
-                    let outcome = serial
-                        .recover(client, b"314159", artifact, &mut rng_s)
-                        .unwrap();
-                    assert_eq!(outcome.message, b"throughput payload");
-                }
-            });
-            if trial == 0 {
-                serial_ops = p256::take_op_counts();
-            }
-            serial_trials.push(trial_secs);
 
-            // --- engine: one wave — one epoch, one envelope per HSM
-            // per direction, cross-user coalesced punctures, one group
-            // commit per device. ---
-            let chunk = &engine_sessions[trial * wave..][..wave];
-            let _ = p256::take_op_counts();
-            let (_, trial_secs) = time_once(|| {
-                let sessions: Vec<RecoverySession<'_>> = chunk
-                    .iter()
-                    .map(|(client, artifact)| RecoverySession {
-                        client,
-                        pin: b"314159",
-                        artifact,
-                    })
-                    .collect();
-                for outcome in
-                    engine.recover_many(&sessions, RecoverManyOptions::default(), &mut rng_e)
-                {
-                    assert_eq!(outcome.unwrap().message, b"throughput payload");
-                }
-            });
-            if trial == 0 {
-                engine_ops = p256::take_op_counts();
+        // --- N waves of one: one epoch + one cluster round per user. ---
+        let _ = p256::take_op_counts();
+        let (_, serial_secs) = time_once(|| {
+            for (client, artifact) in &serial_sessions {
+                let outcome = serial
+                    .recover(client, b"314159", artifact, &mut rng_s)
+                    .unwrap();
+                assert_eq!(outcome.message, b"throughput payload");
             }
-            engine_trials.push(trial_secs);
-        }
-        let serial_secs = serial_trials.iter().copied().fold(f64::INFINITY, f64::min);
-        let engine_secs = engine_trials.iter().copied().fold(f64::INFINITY, f64::min);
+        });
+        let serial_ops = p256::take_op_counts();
+
+        // --- one wave of N: one epoch, one envelope per HSM per
+        // direction, cross-user coalesced punctures, one group commit
+        // per device. ---
+        let (_, engine_secs) = time_once(|| {
+            let sessions: Vec<RecoverySession<'_>> = engine_sessions
+                .iter()
+                .map(|(client, artifact)| RecoverySession {
+                    client,
+                    pin: b"314159",
+                    artifact,
+                })
+                .collect();
+            for outcome in engine.recover_many(&sessions, RecoverManyOptions::default(), &mut rng_e)
+            {
+                assert_eq!(outcome.unwrap().message, b"throughput payload");
+            }
+        });
+        let engine_ops = p256::take_op_counts();
         let serial_store = serial.datacenter.fleet_store_stats();
         let serial_fsyncs = serial_store.flushes - serial_store_before.flushes;
         let engine_store = engine.datacenter.fleet_store_stats();
@@ -704,30 +677,7 @@ fn throughput(report: &mut Report, scale: &Scale) {
 
         let serial_rps = users as f64 / serial_secs;
         let engine_rps = users as f64 / engine_secs;
-        if users == 1 {
-            // The single-session fast path makes recover_many degenerate
-            // to recover, so a lone user never pays for the batching
-            // machinery: the two timed paths are the same code, and
-            // their ratio is 1.0 up to noise. The gate takes both the
-            // ratio and the noise from the interleaved trials: the
-            // median of the per-pair ratios may fall short of parity
-            // by no more than the spread (max − min) of those same
-            // ratios. Two runs of
-            // identical code measured 0.986x and 1.036x, so a fixed
-            // tolerance either fails on noise or misses a regression;
-            // the pre-fast-path overhead this pins against was 0.95x.
-            let (median, spread) = ratio_median_and_spread(&serial_trials, &engine_trials);
-            report.metric("throughput_single_ratio_median", median);
-            report.metric("throughput_single_ratio_spread", spread);
-            if std::env::var_os("PERF_QUICK").is_none() {
-                assert!(
-                    median + spread >= 1.0,
-                    "single-user engine recovery regressed: median {median:.3}x, \
-                     beyond the {spread:.3} spread of its {trials} interleaved trials"
-                );
-            }
-        }
-        let recoveries = (users * trials as u64) as f64;
+        let recoveries = users as f64;
         rows.push(vec![
             users.to_string(),
             format!("{serial_rps:.1}"),
@@ -766,50 +716,36 @@ fn throughput(report: &mut Report, scale: &Scale) {
     report.table(
         &[
             "users",
-            "serial rec/s",
-            "engine rec/s",
+            "waves of one rec/s",
+            "one wave rec/s",
             "speedup",
-            "fsync/rec serial",
-            "fsync/rec engine",
+            "fsync/rec waves of one",
+            "fsync/rec one wave",
         ],
         &rows,
     );
     report.line(
-        "the engine amortizes one epoch + one envelope per HSM per direction + \
+        "one wave of N amortizes one epoch + one envelope per HSM per direction + \
          one group-commit fsync per device across every user in the wave; \
-         serial pays all three per user.",
+         N waves of one pay all three per user.",
     );
     report.line(format!(
-        "engine storm LRU hit rate (largest rung): {:.1}% — note the engine's \
+        "one-wave storm LRU hit rate (largest rung): {:.1}% — note the wave's \
          shared-prefix batch reads eliminate the redundant upper-level \
          fetches that would have been hits, so its *rate* is not comparable \
-         to the serial storm's; the absolute read count is what shrinks.",
+         to the waves of one; the absolute read count is what shrinks.",
         100.0 * engine_hit_rate_last
     ));
     report.metric("throughput_engine_hit_rate", engine_hit_rate_last);
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// The engine/serial throughput ratio of each interleaved trial pair
-/// (serial time over engine time), summarized as its median and its
-/// spread (max − min). Takes an odd number of pairs.
-fn ratio_median_and_spread(serial_secs: &[f64], engine_secs: &[f64]) -> (f64, f64) {
-    let mut ratios: Vec<f64> = serial_secs
-        .iter()
-        .zip(engine_secs)
-        .map(|(s, e)| s / e)
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    let n = ratios.len();
-    (ratios[n / 2], ratios[n - 1] - ratios[0])
-}
-
-/// Part 6: the save-path throughput engine — provider-side saves/sec
-/// and fsyncs/save, serial `Datacenter::save` vs the `save_many` wave
-/// (one grouped enrollment round, one batched log insertion, one WAL
-/// group commit), the streaming epoch-certification hash counter, a
-/// mixed save/recover wave, and the serial ≡ engine digest pin on both
-/// the `Direct` and `Serialized` transports.
+/// Part 6: save throughput — provider-side saves/sec and fsyncs/save,
+/// N `Datacenter::save_many` waves of one vs one wave of N (one grouped
+/// enrollment round, one batched log insertion, one WAL group commit),
+/// the streaming epoch-certification hash counter, a mixed save/recover
+/// wave, and the waves-of-one ≡ one-wave digest pin on both the
+/// `Direct` and `Serialized` transports.
 fn save_storm(report: &mut Report, scale: &Scale) {
     use safetypin::authlog::{EpochUpdate, Log};
     use safetypin::primitives::hashes::take_hash_ops;
@@ -839,7 +775,7 @@ fn save_storm(report: &mut Report, scale: &Scale) {
 
     report.section(
         format!(
-            "6. save storm: provider-side save path, serial vs engine \
+            "6. save storm: provider-side save path, N waves of one vs one wave of N \
              (N = {}, {}-slot keys, FileStore-backed, WAL-attached)",
             scale.fleet, scale.slots
         )
@@ -861,19 +797,20 @@ fn save_storm(report: &mut Report, scale: &Scale) {
             })
             .collect();
 
-        // --- serial baseline: one enrollment-refresh round, one log
+        // --- N waves of one: one enrollment-refresh round, one log
         // insertion, one WAL commit per save. ---
         let fsyncs_before = serial.datacenter.log_wal_stats().map_or(0, |s| s.flushes);
         let (_, serial_secs) = time_once(|| {
             for (name, blob) in &waves {
-                serial.datacenter.save(name, blob).unwrap();
+                save_one(&mut serial, name, blob);
             }
         });
         let serial_fsyncs =
             serial.datacenter.log_wal_stats().map_or(0, |s| s.flushes) - fsyncs_before;
 
-        // --- engine: one grouped enrollment round, one batched trie
-        // insertion sharing root-to-leaf path work, one group commit. ---
+        // --- one wave of N: one grouped enrollment round, one batched
+        // trie insertion sharing root-to-leaf path work, one group
+        // commit. ---
         let saves: Vec<SaveRequest> = waves
             .iter()
             .map(|(name, blob)| SaveRequest {
@@ -891,11 +828,11 @@ fn save_storm(report: &mut Report, scale: &Scale) {
         );
 
         // Same users, same blobs, two worlds: the log digests must
-        // agree byte for byte (the serial ≡ engine pin, Direct leg).
+        // agree byte for byte (the wave-size pin, Direct leg).
         assert_eq!(
             serial.datacenter.log_digest(),
             engine.datacenter.log_digest(),
-            "serial and engine save paths diverged at {users} users"
+            "waves of one and one wave diverged at {users} users"
         );
 
         let serial_sps = users as f64 / serial_secs.max(1e-9);
@@ -923,18 +860,18 @@ fn save_storm(report: &mut Report, scale: &Scale) {
     report.table(
         &[
             "users",
-            "serial saves/s",
-            "engine saves/s",
+            "waves of one saves/s",
+            "one wave saves/s",
             "speedup",
-            "fsync/save serial",
-            "fsync/save engine",
+            "fsync/save waves of one",
+            "fsync/save one wave",
         ],
         &rows,
     );
     report.line(
-        "the engine amortizes one grouped enrollment round, one sorted batch \
+        "one wave of N amortizes one grouped enrollment round, one sorted batch \
          trie insertion (each touched node hashed once per wave), and one \
-         WAL group commit across the wave; serial pays all three per save.",
+         WAL group commit across the wave; N waves of one pay all three per save.",
     );
 
     // --- streaming epoch certification: cutting an epoch under a live
@@ -1007,7 +944,7 @@ fn save_storm(report: &mut Report, scale: &Scale) {
 
     let (_, mixed_serial_secs) = time_once(|| {
         for ((name, blob), (client, artifact)) in mixed_saves.iter().zip(&serial_sessions) {
-            serial.datacenter.save(name, blob).unwrap();
+            save_one(&mut serial, name, blob);
             let outcome = serial
                 .recover(client, b"314159", artifact, &mut rng_s)
                 .unwrap();
@@ -1041,8 +978,8 @@ fn save_storm(report: &mut Report, scale: &Scale) {
     let mixed_engine_ops = ops / mixed_engine_secs.max(1e-9);
     report.line(format!(
         "mixed wave ({mixed} saves + {mixed} recoveries): {mixed_serial_ops:.1} ops/s \
-         interleaved serially vs {mixed_engine_ops:.1} ops/s as one save wave + one \
-         recovery wave ({:.2}x)",
+         interleaved in waves of one vs {mixed_engine_ops:.1} ops/s as one save wave + \
+         one recovery wave ({:.2}x)",
         mixed_engine_ops / mixed_serial_ops
     ));
     report.metric("mixed_users", mixed as f64);
@@ -1051,7 +988,7 @@ fn save_storm(report: &mut Report, scale: &Scale) {
     report.metric("mixed_speedup", mixed_engine_ops / mixed_serial_ops);
     let _ = std::fs::remove_dir_all(&base);
 
-    // --- the serial ≡ engine digest pin, Serialized leg: the on-disk
+    // --- the waves-of-one ≡ one-wave digest pin, Serialized leg: the on-disk
     // twins above exercised `Direct`; the same wave through full-codec
     // transports must land on the same bytes. ---
     let small = SystemParams::test_small(6);
@@ -1071,14 +1008,14 @@ fn save_storm(report: &mut Report, scale: &Scale) {
             })
             .collect();
         for save in &wave {
-            ser.datacenter.save(&save.username, &save.blob).unwrap();
+            save_one(&mut ser, &save.username, &save.blob);
         }
         let outcomes = eng.datacenter.save_many(&wave).unwrap();
         assert!(outcomes.iter().all(|o| o.saved()));
         assert_eq!(
             ser.datacenter.log_digest(),
             eng.datacenter.log_digest(),
-            "serial and engine diverged over {}",
+            "waves of one and one wave diverged over {}",
             ser.datacenter.transport_name()
         );
         digests.push(ser.datacenter.log_digest());
@@ -1088,20 +1025,21 @@ fn save_storm(report: &mut Report, scale: &Scale) {
         "Direct and Serialized transports produced different log digests"
     );
     report.line(
-        "digest pin: the serial and engine save paths land on byte-identical \
+        "digest pin: waves of one and one wave of N land on byte-identical \
          log digests over both the Direct and Serialized transports.",
     );
 }
 
-#[cfg(test)]
-mod tests {
-    use super::ratio_median_and_spread;
-
-    #[test]
-    fn ratio_summary_takes_median_and_range_of_pairs() {
-        // Ratios 1.0, 0.5, 2.0, 1.25, 0.8 → sorted 0.5, 0.8, 1.0, 1.25, 2.0.
-        let serial = [1.0, 1.0, 2.0, 1.25, 0.8];
-        let engine = [1.0, 2.0, 1.0, 1.0, 1.0];
-        assert_eq!(ratio_median_and_spread(&serial, &engine), (1.0, 1.5));
-    }
+/// Saves one user's blob as a wave of one.
+fn save_one<S: safetypin::seckv::BlockStore + Send>(
+    deployment: &mut Deployment<S>,
+    username: &[u8],
+    blob: &[u8],
+) {
+    let save = safetypin::proto::SaveRequest {
+        username: username.to_vec(),
+        blob: blob.to_vec(),
+    };
+    let outcomes = deployment.datacenter.save_many(&[save]).unwrap();
+    assert!(outcomes.iter().all(|o| o.saved()), "a save was refused");
 }

@@ -388,16 +388,10 @@ pub struct RecoverySession<'a> {
     pub artifact: &'a BackupArtifact,
 }
 
-/// Tuning for the multi-user recovery engine. The default (`wave: 0`,
-/// `workers: 0`) runs everyone in one wave across all cores.
+/// Tuning for [`Deployment::recover_many`]. The default (`workers: 0`)
+/// fans out across all cores.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoverManyOptions {
-    /// Users per engine wave (`0` = everyone in one wave). Each wave is
-    /// one log epoch plus one grouped transport round; smaller waves
-    /// bound the per-device group size (and therefore the deferred
-    /// trusted-memory obligation per group commit) at the cost of more
-    /// epochs.
-    pub wave: usize,
     /// Worker-thread cap for the per-HSM fan-out (`0` = all cores;
     /// `1` = the serial baseline). Outcomes are byte-identical for any
     /// value — every device's group runs under its own sequentially
@@ -406,12 +400,6 @@ pub struct RecoverManyOptions {
 }
 
 impl RecoverManyOptions {
-    /// Users per engine wave (`0` = everyone in one wave).
-    pub fn with_wave(mut self, wave: usize) -> Self {
-        self.wave = wave;
-        self
-    }
-
     /// Worker-thread cap for the per-HSM fan-out (`0` = all cores).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -473,13 +461,11 @@ impl<S: BlockStore + Send> Deployment<S> {
         }
     }
 
-    /// Runs one user's full save flow: builds the client's backup
-    /// artifact (client-side work against the cached enrollment
-    /// records) and hands the encoded blob to the provider's serial
-    /// save path ([`Datacenter::save`]: one enrollment-refresh round,
-    /// one log insertion, one WAL commit). Returns the artifact so the
-    /// caller can later recover from it. This is the baseline
-    /// [`save_many`](Self::save_many) amortizes.
+    /// Runs one user's full save flow as a wave of one through
+    /// [`save_many`](Self::save_many): builds the client's backup
+    /// artifact and hands the encoded blob to the provider's save path.
+    /// Returns the artifact so the caller can later recover from it; a
+    /// log refusal comes back as [`DeploymentError::SaveRefused`].
     pub fn save<R: RngCore + CryptoRng>(
         &mut self,
         username: &[u8],
@@ -487,34 +473,28 @@ impl<S: BlockStore + Send> Deployment<S> {
         secret: &[u8],
         rng: &mut R,
     ) -> Result<BackupArtifact, DeploymentError> {
-        safetypin_telemetry::span!("save.total");
-        let mut client = self.new_client(username)?;
-        let epoch = self.datacenter.update_history().len() as u64;
-        let artifact = {
-            safetypin_telemetry::span!("save.seal");
-            client.backup(pin, secret, epoch, rng)?
+        let session = SaveSession {
+            username,
+            pin,
+            secret,
         };
-        let blob = safetypin_client::remote::encode_artifact(&artifact);
-        {
-            safetypin_telemetry::span!("save.commit");
-            self.datacenter.save(username, &blob)?;
-        }
-        Ok(artifact)
+        self.save_many(&[session], rng)
+            .pop()
+            .expect("a wave of one resolves to one outcome")
     }
 
-    /// The save-path throughput engine: saves a whole wave of users
-    /// under **one** grouped enrollment-refresh round, **one** batched
-    /// log insertion, and **one** group-commit WAL flush
-    /// ([`Datacenter::save_many`]). Outcomes come back per user in
-    /// session order; one user's refusal never sinks the wave. Log
-    /// state and digests are byte-identical to saving the same users
-    /// sequentially through [`save`](Self::save).
+    /// The save path: saves a wave of users under **one** grouped
+    /// enrollment-refresh round, **one** batched log insertion, and
+    /// **one** group-commit WAL flush ([`Datacenter::save_many`]).
+    /// Outcomes come back per user in session order; one user's refusal
+    /// never sinks the wave. Log state and digests are byte-identical
+    /// to saving the same users in waves of one.
     pub fn save_many<R: RngCore + CryptoRng>(
         &mut self,
         sessions: &[SaveSession<'_>],
         rng: &mut R,
     ) -> Vec<Result<BackupArtifact, DeploymentError>> {
-        safetypin_telemetry::span!("save.total_wave");
+        safetypin_telemetry::span!("save.total");
         let epoch = self.datacenter.update_history().len() as u64;
         let mut outcomes: Vec<Option<Result<BackupArtifact, DeploymentError>>> =
             Vec::with_capacity(sessions.len());
@@ -547,8 +527,7 @@ impl<S: BlockStore + Send> Deployment<S> {
 
         drop(seal_span);
 
-        // Provider-side: the whole wave in one engine call.
-        safetypin_telemetry::span!("save.commit");
+        // Provider-side: the whole wave in one call.
         match self.datacenter.save_many(&saves) {
             Ok(results) => {
                 for ((idx, artifact), outcome) in staged.into_iter().zip(results) {
@@ -576,12 +555,10 @@ impl<S: BlockStore + Send> Deployment<S> {
             .collect()
     }
 
-    /// Runs the full Figure 3 recovery flow: log the attempt, run a log
-    /// epoch, fetch the inclusion proof, contact the cluster, reconstruct.
-    ///
-    /// Fail-stopped HSMs and HSMs that cannot decrypt their share are
-    /// skipped: recovery succeeds as long as the remaining shares reach
-    /// the threshold, and fails with `NotEnoughShares` otherwise.
+    /// Runs the full Figure 3 recovery flow for one user as a wave of
+    /// one through [`recover_many`](Self::recover_many): log the
+    /// attempt, run a log epoch, fetch the inclusion proof, contact the
+    /// cluster, reconstruct.
     pub fn recover<R: RngCore + CryptoRng>(
         &mut self,
         client: &Client,
@@ -589,263 +566,188 @@ impl<S: BlockStore + Send> Deployment<S> {
         artifact: &BackupArtifact,
         rng: &mut R,
     ) -> Result<RecoveryOutcome, DeploymentError> {
-        safetypin_telemetry::span!("recover.total");
-        let attempt = client.start_recovery(pin, &artifact.ciphertext, false, rng)?;
-        let wire_before = self.datacenter.transport_stats();
-
-        // Step 3: log the recovery attempt (one per identifier).
-        let (id, value) = attempt.log_entry();
-        {
-            safetypin_telemetry::span!("recover.log_insert");
-            self.datacenter
-                .insert_log(&id, &value)
-                .map_err(|_| DeploymentError::AttemptRefused)?;
-        }
-
-        // Step 4: the provider batches and certifies the epoch.
-        {
-            safetypin_telemetry::span!("recover.epoch");
-            self.datacenter.run_epoch()?;
-        }
-
-        // Step 5: inclusion proof.
-        let inclusion = {
-            safetypin_telemetry::span!("recover.inclusion");
-            self.datacenter
-                .prove_inclusion(&id, &value)
-                .ok_or(DeploymentError::AttemptRefused)?
+        let session = RecoverySession {
+            client,
+            pin,
+            artifact,
         };
-
-        // Steps 6–7: contact the cluster — one batched transport round
-        // carrying every per-HSM request in a single envelope. The
-        // window is now open; it closes HSM-by-HSM as each punctures
-        // before replying. Unavailable devices (fail-stopped, or their
-        // reply lost in transit) and devices whose decryption failed (a
-        // Bloom-filter false positive, or a wrong PIN's cluster) are
-        // skipped: recovery succeeds as long as the surviving shares
-        // reach the threshold.
-        let mut phases = RecoveryPhases::default();
-        let mut responses = Vec::new();
-        let requests = attempt.requests(&inclusion);
-        let contacted = requests.len();
-        {
-            safetypin_telemetry::span!("recover.cluster_round");
-            for (_, item) in self.datacenter.route_recovery_cluster(requests, rng)? {
-                match item {
-                    Ok((response, p)) => {
-                        phases.add(&p);
-                        responses.push(response);
-                    }
-                    Err(HsmError::Unavailable | HsmError::DecryptFailed) => continue,
-                    Err(e) => return Err(ProviderError::Hsm(e).into()),
-                }
-            }
-        }
-        let responders = responses.len();
-        let message = {
-            safetypin_telemetry::span!("recover.finish");
-            attempt.finish(responses)?
-        };
-        Ok(RecoveryOutcome {
-            message,
-            phases,
-            responders,
-            contacted,
-            window: WindowPhase::Revoked,
-            wire: self.datacenter.transport_stats().since(&wire_before),
-        })
+        self.recover_many(&[session], RecoverManyOptions::default(), rng)
+            .pop()
+            .expect("a wave of one resolves to one outcome")
     }
 
-    /// The multi-user recovery engine: serves many users' recoveries
-    /// **concurrently**, amortizing everything a one-at-a-time loop pays
-    /// per user across the whole wave:
+    /// The recovery path: serves one wave of users' recoveries
+    /// **concurrently** (a lone recovery is a wave of one), amortizing
+    /// everything a one-at-a-time loop pays per user across the wave:
     ///
-    /// * one log epoch certifies every attempt in the wave (vs one epoch
-    ///   per user);
+    /// * one log epoch certifies every attempt in the wave;
     /// * every request bound for the same HSM travels in **one envelope
-    ///   per device per direction**
-    ///   ([`Datacenter::route_recovery_multi`]);
-    /// * each device serves its coalesced group with cross-user batched
-    ///   punctures, one MSM slot audit, and a **single group-commit
-    ///   durability barrier** — punctures for the whole group commit
-    ///   before any share leaves any device.
+    ///   per device per direction** ([`Datacenter::route_recovery`]);
+    /// * each device serves its coalesced group with batched punctures,
+    ///   one MSM slot audit, and a **single group-commit durability
+    ///   barrier** — punctures for the whole group commit before any
+    ///   share leaves any device.
     ///
+    /// Fail-stopped HSMs and HSMs that cannot decrypt their share are
+    /// skipped: a recovery succeeds as long as the remaining shares
+    /// reach the threshold, and fails with `NotEnoughShares` otherwise.
     /// Outcomes come back per user, in session order; one user's refusal
     /// (attempt already consumed, wrong PIN) never sinks the wave. The
     /// served shares are **byte-identical** to recovering the same users
-    /// sequentially through [`recover`](Self::recover), for any worker
-    /// count and wave size (pinned by `tests/tests/throughput.rs`); the
-    /// per-user `wire` stats report the wave's traffic amortized evenly
-    /// across its users — the engine's whole point is that this number
-    /// falls as the wave grows.
+    /// in waves of one, for any worker count (pinned by
+    /// `tests/tests/throughput.rs`). Callers wanting smaller waves chunk
+    /// their sessions. The per-user `wire` stats report the wave's
+    /// traffic amortized evenly across its users.
     pub fn recover_many<R: RngCore + CryptoRng>(
         &mut self,
         sessions: &[RecoverySession<'_>],
         opts: RecoverManyOptions,
         rng: &mut R,
     ) -> Vec<Result<RecoveryOutcome, DeploymentError>> {
-        // Single-session fast path: the engine's grouped envelopes and
-        // slot bookkeeping only pay for themselves across users, so a
-        // lone session runs the serial recovery code — the engine is
-        // never slower than the baseline it replaces.
-        if let [session] = sessions {
-            return vec![self.recover(session.client, session.pin, session.artifact, rng)];
-        }
+        safetypin_telemetry::span!("recover.total");
         let mut outcomes: Vec<Option<Result<RecoveryOutcome, DeploymentError>>> =
             Vec::with_capacity(sessions.len());
         outcomes.resize_with(sessions.len(), || None);
-        let wave_size = if opts.wave == 0 {
-            sessions.len().max(1)
-        } else {
-            opts.wave
-        };
         let workers = if opts.workers == 0 {
             usize::MAX
         } else {
             opts.workers
         };
-
-        for (wave_index, wave) in sessions.chunks(wave_size).enumerate() {
-            safetypin_telemetry::span!("recover.total_wave");
-            let wave_start = wave_index * wave_size;
-            let wire_before = self.datacenter.transport_stats();
-
-            // Steps 2–3 per user: prepare the attempt, log it. A refused
-            // insertion (attempt already consumed) fails that user only.
-            let log_span = safetypin_telemetry::start_span("recover.log_insert");
-            let mut staged: Vec<(usize, RecoveryAttempt, Vec<u8>, Vec<u8>)> = Vec::new();
-            for (offset, session) in wave.iter().enumerate() {
-                let idx = wave_start + offset;
-                let attempt = match session.client.start_recovery(
-                    session.pin,
-                    &session.artifact.ciphertext,
-                    false,
-                    rng,
-                ) {
-                    Ok(attempt) => attempt,
-                    Err(e) => {
-                        outcomes[idx] = Some(Err(e.into()));
-                        continue;
-                    }
-                };
-                let (id, value) = attempt.log_entry();
-                if self.datacenter.insert_log(&id, &value).is_err() {
-                    outcomes[idx] = Some(Err(DeploymentError::AttemptRefused));
-                    continue;
-                }
-                staged.push((idx, attempt, id, value));
-            }
-            drop(log_span);
-            if staged.is_empty() {
-                continue;
-            }
-
-            // Step 4, once per wave: a single epoch certifies every
-            // logged attempt in the batch.
-            let epoch_outcome = {
-                safetypin_telemetry::span!("recover.epoch");
-                self.datacenter.run_epoch()
-            };
-            if let Err(e) = epoch_outcome {
-                for (idx, ..) in staged {
-                    outcomes[idx] = Some(Err(e.clone().into()));
-                }
-                continue;
-            }
-
-            // Step 5 per user: inclusion proof + per-HSM requests.
-            let inclusion_span = safetypin_telemetry::start_span("recover.inclusion");
-            let mut rounds = Vec::with_capacity(staged.len());
-            let mut meta: Vec<(usize, RecoveryAttempt, usize)> = Vec::with_capacity(staged.len());
-            for (idx, attempt, id, value) in staged {
-                match self.datacenter.prove_inclusion(&id, &value) {
-                    Some(inclusion) => {
-                        let requests = attempt.requests(&inclusion);
-                        meta.push((idx, attempt, requests.len()));
-                        rounds.push(requests);
-                    }
-                    None => outcomes[idx] = Some(Err(DeploymentError::AttemptRefused)),
-                }
-            }
-            drop(inclusion_span);
-            if rounds.is_empty() {
-                continue;
-            }
-
-            // Steps 6–7, one grouped round for the whole wave.
-            let round_span = safetypin_telemetry::start_span("recover.cluster_round");
-            let served = match self
-                .datacenter
-                .route_recovery_multi_with_workers(rounds, workers, rng)
-            {
-                Ok(served) => served,
-                Err(e) => {
-                    for (idx, ..) in meta {
-                        outcomes[idx] = Some(Err(e.clone().into()));
-                    }
-                    continue;
-                }
-            };
-            drop(round_span);
-
-            // The wave's wire traffic, amortized evenly per user. The
-            // per-user counters are floor-divided, so a fault count
-            // smaller than the wave (e.g. 3 drops across 32 users) can
-            // round to 0 in every outcome — callers needing exact fault
-            // totals should diff `Datacenter::transport_stats` around
-            // the call instead.
-            let delta = self.datacenter.transport_stats().since(&wire_before);
-            let users = meta.len() as u64;
-            let wire_share = TransportStats {
-                envelopes: delta.envelopes / users,
-                messages: delta.messages / users,
-                request_bytes: delta.request_bytes / users,
-                response_bytes: delta.response_bytes / users,
-                dropped: delta.dropped / users,
-                corrupted: delta.corrupted / users,
-                seconds: delta.seconds / users as f64,
-            };
-
-            safetypin_telemetry::span!("recover.finish");
-            for ((idx, attempt, contacted), items) in meta.into_iter().zip(served) {
-                let mut phases = RecoveryPhases::default();
-                let mut responses = Vec::new();
-                let mut hard_error: Option<DeploymentError> = None;
-                for (_, item) in items {
-                    match item {
-                        Ok((response, p)) => {
-                            phases.add(&p);
-                            responses.push(response);
-                        }
-                        Err(HsmError::Unavailable | HsmError::DecryptFailed) => continue,
-                        Err(e) => {
-                            hard_error = Some(ProviderError::Hsm(e).into());
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = hard_error {
-                    outcomes[idx] = Some(Err(e));
-                    continue;
-                }
-                let responders = responses.len();
-                outcomes[idx] = Some(match attempt.finish(responses) {
-                    Ok(message) => Ok(RecoveryOutcome {
-                        message,
-                        phases,
-                        responders,
-                        contacted,
-                        window: WindowPhase::Revoked,
-                        wire: wire_share,
-                    }),
-                    Err(e) => Err(e.into()),
-                });
-            }
-        }
+        self.recover_wave(sessions, workers, rng, &mut outcomes);
         outcomes
             .into_iter()
             .map(|o| o.expect("every session resolves to an outcome"))
             .collect()
+    }
+
+    /// [`recover_many`](Self::recover_many)'s wave, resolving each
+    /// session's slot in `outcomes`.
+    fn recover_wave<R: RngCore + CryptoRng>(
+        &mut self,
+        sessions: &[RecoverySession<'_>],
+        workers: usize,
+        rng: &mut R,
+        outcomes: &mut [Option<Result<RecoveryOutcome, DeploymentError>>],
+    ) {
+        let wire_before = self.datacenter.transport_stats();
+
+        // Steps 2–3 per user: prepare the attempt, log it. A refused
+        // insertion (attempt already consumed) fails that user only.
+        let mut staged: Vec<(usize, RecoveryAttempt, Vec<u8>, Vec<u8>)> = Vec::new();
+        for (idx, session) in sessions.iter().enumerate() {
+            let attempt = match session.client.start_recovery(
+                session.pin,
+                &session.artifact.ciphertext,
+                false,
+                rng,
+            ) {
+                Ok(attempt) => attempt,
+                Err(e) => {
+                    outcomes[idx] = Some(Err(e.into()));
+                    continue;
+                }
+            };
+            let (id, value) = attempt.log_entry();
+            if self.datacenter.insert_log(&id, &value).is_err() {
+                outcomes[idx] = Some(Err(DeploymentError::AttemptRefused));
+                continue;
+            }
+            staged.push((idx, attempt, id, value));
+        }
+        if staged.is_empty() {
+            return;
+        }
+
+        // Step 4, once per wave: a single epoch certifies every
+        // logged attempt in the wave.
+        if let Err(e) = self.datacenter.run_epoch() {
+            for (idx, ..) in staged {
+                outcomes[idx] = Some(Err(e.clone().into()));
+            }
+            return;
+        }
+
+        // Step 5 per user: inclusion proof + per-HSM requests.
+        let mut rounds = Vec::with_capacity(staged.len());
+        let mut meta: Vec<(usize, RecoveryAttempt, usize)> = Vec::with_capacity(staged.len());
+        for (idx, attempt, id, value) in staged {
+            match self.datacenter.prove_inclusion(&id, &value) {
+                Some(inclusion) => {
+                    let requests = attempt.requests(&inclusion);
+                    meta.push((idx, attempt, requests.len()));
+                    rounds.push(requests);
+                }
+                None => outcomes[idx] = Some(Err(DeploymentError::AttemptRefused)),
+            }
+        }
+        if rounds.is_empty() {
+            return;
+        }
+
+        // Steps 6–7, one grouped round for the whole wave.
+        let served = match self.datacenter.route_recovery(rounds, workers, rng) {
+            Ok(served) => served,
+            Err(e) => {
+                for (idx, ..) in meta {
+                    outcomes[idx] = Some(Err(e.clone().into()));
+                }
+                return;
+            }
+        };
+
+        // The wave's wire traffic, amortized evenly per user. The
+        // per-user counters are floor-divided, so a fault count
+        // smaller than the wave (e.g. 3 drops across 32 users) can
+        // round to 0 in every outcome — callers needing exact fault
+        // totals should diff `Datacenter::transport_stats` around
+        // the call instead.
+        let delta = self.datacenter.transport_stats().since(&wire_before);
+        let users = meta.len() as u64;
+        let wire_share = TransportStats {
+            envelopes: delta.envelopes / users,
+            messages: delta.messages / users,
+            request_bytes: delta.request_bytes / users,
+            response_bytes: delta.response_bytes / users,
+            dropped: delta.dropped / users,
+            corrupted: delta.corrupted / users,
+            seconds: delta.seconds / users as f64,
+        };
+
+        safetypin_telemetry::span!("recover.finish");
+        for ((idx, attempt, contacted), items) in meta.into_iter().zip(served) {
+            let mut phases = RecoveryPhases::default();
+            let mut responses = Vec::new();
+            let mut hard_error: Option<DeploymentError> = None;
+            for (_, item) in items {
+                match item {
+                    Ok((response, p)) => {
+                        phases.add(&p);
+                        responses.push(response);
+                    }
+                    Err(HsmError::Unavailable | HsmError::DecryptFailed) => continue,
+                    Err(e) => {
+                        hard_error = Some(ProviderError::Hsm(e).into());
+                        break;
+                    }
+                }
+            }
+            if let Some(e) = hard_error {
+                outcomes[idx] = Some(Err(e));
+                continue;
+            }
+            let responders = responses.len();
+            outcomes[idx] = Some(match attempt.finish(responses) {
+                Ok(message) => Ok(RecoveryOutcome {
+                    message,
+                    phases,
+                    responders,
+                    contacted,
+                    window: WindowPhase::Revoked,
+                    wire: wire_share,
+                }),
+                Err(e) => Err(e.into()),
+            });
+        }
     }
 }
 

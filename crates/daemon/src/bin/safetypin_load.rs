@@ -93,24 +93,24 @@ fn main() -> ExitCode {
         report.wave_recoveries as f64 / report.wave_secs.max(1e-9),
     );
     let metrics = report.metrics();
+    // A quantile with fewer than ten samples beyond it is not reported.
     let ms = |key: &str| {
         metrics
             .iter()
             .find(|(name, _)| name == key)
-            .map_or(0.0, |(_, v)| *v)
+            .map_or("n/a".to_string(), |(_, v)| format!("{v:.1}ms"))
     };
-    println!(
-        "save latency p50 {:.1}ms / p95 {:.1}ms / p99 {:.1}ms",
-        ms("wire_save_p50_ms"),
-        ms("wire_save_p95_ms"),
-        ms("wire_save_p99_ms"),
-    );
-    println!(
-        "recover latency p50 {:.1}ms / p95 {:.1}ms / p99 {:.1}ms",
-        ms("wire_recover_p50_ms"),
-        ms("wire_recover_p95_ms"),
-        ms("wire_recover_p99_ms"),
-    );
+    for (op, samples) in [
+        ("save", report.save_samples_us.len()),
+        ("recover", report.recover_samples_us.len()),
+    ] {
+        println!(
+            "{op} latency ({samples} samples) p50 {} / p95 {} / p99 {}",
+            ms(&format!("wire_{op}_p50_ms")),
+            ms(&format!("wire_{op}_p95_ms")),
+            ms(&format!("wire_{op}_p99_ms")),
+        );
+    }
     let dir = perf::bench_out_dir();
     match perf::merge_metrics(
         &dir,

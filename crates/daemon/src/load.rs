@@ -100,16 +100,22 @@ pub struct LoadReport {
     pub fleet: Vec<(String, f64)>,
 }
 
+/// Samples that must lie beyond a quantile before it is reported: with
+/// fewer, the "quantile" is one of the last few samples (p95 and p99 of
+/// 24 samples are both the maximum), not a tail estimate.
+const SAMPLES_BEYOND_QUANTILE: usize = 10;
+
 /// The exact order statistic `sorted[max(1, ceil(q·n)) - 1]` of
-/// `samples`, in milliseconds (0 when empty).
-fn percentile_ms(samples: &[u64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// `samples`, in milliseconds, or `None` when fewer than
+/// [`SAMPLES_BEYOND_QUANTILE`] samples lie beyond it.
+fn percentile_ms(samples: &[u64], q: f64) -> Option<f64> {
+    let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+    if samples.len().saturating_sub(rank) < SAMPLES_BEYOND_QUANTILE {
+        return None;
     }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted.get(rank - 1).map_or(0.0, |v| *v as f64 / 1000.0)
+    sorted.get(rank - 1).map(|v| *v as f64 / 1000.0)
 }
 
 impl LoadReport {
@@ -141,8 +147,11 @@ impl LoadReport {
             ("save", &self.save_samples_us),
             ("recover", &self.recover_samples_us),
         ] {
+            metrics.push((format!("wire_{key}_samples"), samples.len() as f64));
             for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                metrics.push((format!("wire_{key}_{suffix}_ms"), percentile_ms(samples, q)));
+                if let Some(ms) = percentile_ms(samples, q) {
+                    metrics.push((format!("wire_{key}_{suffix}_ms"), ms));
+                }
             }
         }
         metrics.extend(self.fleet.iter().cloned());
@@ -454,4 +463,49 @@ pub fn run(opts: &LoadOptions) -> Result<LoadReport, RemoteError> {
         recover_samples_us,
         fleet,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report_with(samples_us: Vec<u64>) -> LoadReport {
+        LoadReport {
+            users: samples_us.len(),
+            saves: samples_us.len(),
+            save_secs: 1.0,
+            wave_saves: 0,
+            wave_save_secs: 1.0,
+            solo_recoveries: samples_us.len(),
+            recover_secs: 1.0,
+            wave_recoveries: 0,
+            wave_secs: 1.0,
+            save_samples_us: samples_us.clone(),
+            recover_samples_us: samples_us,
+            fleet: Vec::new(),
+        }
+    }
+
+    fn metric(metrics: &[(String, f64)], key: &str) -> Option<f64> {
+        metrics.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
+    #[test]
+    fn tail_quantiles_need_ten_samples_beyond_them() {
+        let metrics = report_with((1..=24).map(|ms| ms * 1000).collect()).metrics();
+        for key in ["save", "recover"] {
+            let get = |quantity: &str| metric(&metrics, &format!("wire_{key}_{quantity}"));
+            assert_eq!(get("samples"), Some(24.0));
+            // 12 of 24 samples lie beyond the median: reported.
+            assert_eq!(get("p50_ms"), Some(12.0));
+            // One and zero samples lie beyond p95 and p99: withheld.
+            assert_eq!(get("p95_ms"), None);
+            assert_eq!(get("p99_ms"), None);
+        }
+
+        // 200 samples leave exactly ten beyond p95 (rank 190).
+        let metrics = report_with((1..=200).map(|ms| ms * 1000).collect()).metrics();
+        assert_eq!(metric(&metrics, "wire_save_p95_ms"), Some(190.0));
+        assert_eq!(metric(&metrics, "wire_save_p99_ms"), None);
+    }
 }

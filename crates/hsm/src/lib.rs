@@ -224,12 +224,11 @@ impl Hsm {
         self.bfe_sk.needs_rotation()
     }
 
-    /// The single message-dispatch entry point: every operation the
-    /// datacenter can ask of an HSM arrives as a
-    /// [`HsmRequest`](safetypin_proto::HsmRequest) and leaves as a
-    /// [`HsmResponse`](safetypin_proto::HsmResponse) — this is the
-    /// function a transport's serve side calls, and the only surface a
-    /// remote backend would need to expose.
+    /// Serves one [`HsmRequest`](safetypin_proto::HsmRequest) and flushes
+    /// the block store once — the serial reference the fleet's serve
+    /// path, [`handle_batch`](Self::handle_batch), is checked against
+    /// byte for byte (`handle_batch_matches_serial_serving_byte_for_byte`).
+    /// The datacenter itself serves every round through `handle_batch`.
     ///
     /// Refusals never escape as `Err`: they are encoded as
     /// [`HsmResponse::Error`](safetypin_proto::HsmResponse::Error)
@@ -692,6 +691,9 @@ impl Hsm {
 
     /// Processes one recovery-share request, enforcing every §4.2 check,
     /// and punctures the BFE key before replying (Figure 4's revocation).
+    /// This is the serial reference for the grouped recovery segments of
+    /// [`handle_batch`](Self::handle_batch), which serve every recovery
+    /// the datacenter routes (`handle_batch_matches_serial_serving_byte_for_byte`).
     pub fn recover_share<S: BlockStore, R: RngCore + CryptoRng>(
         &mut self,
         request: &RecoveryRequest,

@@ -32,17 +32,18 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
 }
 
 /// Builds the fleet's serve side for every [`Traffic`] class a
-/// transport can deliver:
+/// transport can deliver. Every HSM class is served by
+/// [`Hsm::handle_batch`] — one group per device, one group-commit
+/// durability barrier per group:
 ///
-/// * `Single` — the addressed HSM serves inline under the caller's RNG
-///   (no per-device seed draw: a one-device round has nothing to fan
-///   out, and the direct RNG use keeps single-exchange outcomes
-///   byte-identical to the pre-unification serve path).
-/// * `Batch` — grouped by addressed HSM and fanned out across worker
-///   threads ([`serve_batch`]), responses in request order.
-/// * `Grouped` — one coalesced group per device, served by
-///   [`Hsm::handle_batch`] under a group-commit barrier
-///   ([`serve_grouped`]), up to `workers` threads.
+/// * `Single` — a one-request group, served inline under the caller's
+///   RNG (no per-device seed draw: a one-device round has nothing to
+///   fan out). For a non-recovery request this is exactly one dispatch
+///   plus one flush.
+/// * `Batch` — regrouped per addressed HSM, served like `Grouped`, and
+///   reassembled into request order.
+/// * `Grouped` — one coalesced group per device ([`serve_grouped`]),
+///   up to `workers` threads.
 /// * `Provider` — refused with a typed [`codes::UNSUPPORTED`] reply:
 ///   the fleet endpoint serves HSM traffic only (the datacenter's
 ///   client-facing dispatch is `Datacenter::handle`).
@@ -57,9 +58,21 @@ pub(crate) fn serve_traffic<'a, S: BlockStore + Send, R: RngCore + CryptoRng>(
 ) -> impl FnMut(Traffic) -> TrafficReply + 'a {
     move |traffic| match traffic {
         Traffic::Single(id, request) => {
-            TrafficReply::Single(serve_single(hsms, stores, rng, id, request))
+            let idx = id as usize;
+            let reply = match (hsms.get_mut(idx), stores.get_mut(idx)) {
+                (Some(hsm), Some(store)) => hsm.handle_batch(vec![request], store, rng).pop(),
+                _ => None,
+            };
+            TrafficReply::Single(reply.unwrap_or_else(|| {
+                HsmResponse::Error(ErrorReply::new(
+                    codes::UNKNOWN_HSM,
+                    format!("no HSM with id {id}"),
+                ))
+            }))
         }
-        Traffic::Batch(batch) => TrafficReply::Batch(serve_batch(hsms, stores, rng, batch)),
+        Traffic::Batch(batch) => {
+            TrafficReply::Batch(serve_regrouped(hsms, stores, rng, workers, batch))
+        }
         Traffic::Grouped(groups) => {
             TrafficReply::Grouped(serve_grouped(hsms, stores, rng, workers, groups))
         }
@@ -72,152 +85,53 @@ pub(crate) fn serve_traffic<'a, S: BlockStore + Send, R: RngCore + CryptoRng>(
     }
 }
 
-/// Serves one request on the addressed HSM, inline, under the caller's
-/// RNG. Unknown ids become typed error replies instead of panics.
-fn serve_single<S: BlockStore, R: RngCore + CryptoRng>(
+/// Serves a per-request batch as one group per addressed device
+/// (ascending id, each device's requests in their original relative
+/// order) and reassembles the replies into request order.
+fn serve_regrouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
     hsms: &mut [Hsm],
     stores: &mut [S],
     rng: &mut R,
-    id: u64,
-    request: HsmRequest,
-) -> HsmResponse {
-    let idx = id as usize;
-    match (hsms.get_mut(idx), stores.get_mut(idx)) {
-        (Some(hsm), Some(store)) => hsm.handle(request, store, rng),
-        _ => HsmResponse::Error(ErrorReply::new(
-            codes::UNKNOWN_HSM,
-            format!("no HSM with id {id}"),
-        )),
-    }
-}
-
-struct Job<'b, S> {
-    id: u64,
-    hsm: &'b mut Hsm,
-    store: &'b mut S,
-    seed: [u8; 32],
-    items: Vec<(usize, HsmRequest)>,
-}
-
-fn run_job<S: BlockStore>(job: &mut Job<'_, S>, out: &mut Vec<(usize, u64, HsmResponse)>) {
-    let mut rng = StdRng::from_seed(job.seed);
-    for (pos, req) in job.items.drain(..) {
-        let resp = job.hsm.handle(req, job.store, &mut rng);
-        out.push((pos, job.id, resp));
-    }
-}
-
-fn serve_batch<S: BlockStore + Send, R: RngCore + CryptoRng>(
-    hsms: &mut [Hsm],
-    stores: &mut [S],
-    rng: &mut R,
+    workers: usize,
     batch: Vec<(u64, HsmRequest)>,
 ) -> Vec<(u64, HsmResponse)> {
     let n = batch.len();
+    let mut by_device: std::collections::BTreeMap<u64, (Vec<usize>, Vec<HsmRequest>)> =
+        std::collections::BTreeMap::new();
+    for (pos, (id, request)) in batch.into_iter().enumerate() {
+        let (positions, requests) = by_device.entry(id).or_default();
+        positions.push(pos);
+        requests.push(request);
+    }
+    let mut positions = Vec::with_capacity(by_device.len());
+    let mut groups = Vec::with_capacity(by_device.len());
+    for (id, (device_positions, requests)) in by_device {
+        positions.push(device_positions);
+        groups.push((id, requests));
+    }
     let mut results: Vec<Option<(u64, HsmResponse)>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
-
-    // Group per addressed HSM, preserving each HSM's request order.
-    // `ids[pos]` remembers every item's addressee so a position a dead
-    // worker never served can still be answered with a typed error.
-    let mut ids: Vec<u64> = Vec::with_capacity(n);
-    let mut groups: std::collections::BTreeMap<u64, Vec<(usize, HsmRequest)>> =
-        std::collections::BTreeMap::new();
-    for (pos, (id, req)) in batch.into_iter().enumerate() {
-        ids.push(id);
-        if (id as usize) < hsms.len() {
-            groups.entry(id).or_default().push((pos, req));
-        } else if let Some(slot) = results.get_mut(pos) {
-            *slot = Some((
-                id,
-                HsmResponse::Error(ErrorReply::new(
-                    codes::UNKNOWN_HSM,
-                    format!("no HSM with id {id}"),
-                )),
-            ));
-        }
-    }
-
-    // Seeds drawn sequentially in ascending id order: the only RNG
-    // consumption the caller observes, identical for any worker count.
-    let mut devices: Vec<Option<(&mut Hsm, &mut S)>> =
-        hsms.iter_mut().zip(stores.iter_mut()).map(Some).collect();
-    let mut jobs: Vec<Job<'_, S>> = Vec::with_capacity(groups.len());
-    for (id, items) in groups {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        // Ids were bounds-checked above and BTreeMap keys are unique,
-        // so the device is always present; if that invariant ever
-        // breaks, the group gets typed errors instead of a panic.
-        match devices.get_mut(id as usize).and_then(Option::take) {
-            Some((hsm, store)) => jobs.push(Job {
-                id,
-                hsm,
-                store,
-                seed,
-                items,
-            }),
-            None => {
-                for (pos, _req) in items {
-                    if let Some(slot) = results.get_mut(pos) {
-                        *slot = Some((
-                            id,
-                            HsmResponse::Error(ErrorReply::new(
-                                codes::INTERNAL,
-                                format!("HSM {id} unavailable for this batch"),
-                            )),
-                        ));
-                    }
-                }
+    for (positions, (id, responses)) in positions
+        .into_iter()
+        .zip(serve_grouped(hsms, stores, rng, workers, groups))
+    {
+        for (pos, response) in positions.into_iter().zip(responses) {
+            if let Some(slot) = results.get_mut(pos) {
+                *slot = Some((id, response));
             }
         }
     }
-
-    let workers = worker_count(jobs.len());
-    let mut served: Vec<(usize, u64, HsmResponse)> = Vec::with_capacity(n);
-    if workers <= 1 || jobs.len() <= 1 {
-        for job in &mut jobs {
-            run_job(job, &mut served);
-        }
-    } else {
-        let chunk = jobs.len().div_ceil(workers);
-        let collected: Vec<Vec<(usize, u64, HsmResponse)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .chunks_mut(chunk)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for job in chunk {
-                            run_job(job, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            // A panicked worker loses its chunk's replies; the
-            // positions it never filled become typed errors below
-            // instead of propagating the panic into the serve path.
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-        for part in collected {
-            served.extend(part);
-        }
-    }
-    for (pos, id, resp) in served {
-        if let Some(slot) = results.get_mut(pos) {
-            *slot = Some((id, resp));
-        }
-    }
+    // serve_grouped answers every request of every group, so no slot
+    // stays empty; if that ever breaks, the caller gets a typed error.
     results
         .into_iter()
-        .enumerate()
-        .map(|(pos, r)| {
+        .map(|r| {
             r.unwrap_or_else(|| {
                 (
-                    ids.get(pos).copied().unwrap_or(u64::MAX),
+                    u64::MAX,
                     HsmResponse::Error(ErrorReply::new(
                         codes::INTERNAL,
-                        "fan-out worker failed before serving this request",
+                        "fan-out produced no reply for this request",
                     )),
                 )
             })
@@ -229,9 +143,9 @@ fn serve_batch<S: BlockStore + Send, R: RngCore + CryptoRng>(
 // multi-user engine's shape), each served by `Hsm::handle_batch` —
 // cross-user coalesced punctures, one MSM slot audit, one group-commit
 // flush — with independent devices fanned out across up to `workers`
-// threads. Seeds are drawn sequentially in ascending HSM id order,
-// exactly like the per-request batch path, so the served outcome is a
-// deterministic function of the caller's RNG for any worker count.
+// threads. Seeds are drawn sequentially in ascending HSM id order, one
+// per addressed device, so the served outcome is a deterministic
+// function of the caller's RNG for any worker count.
 // Unknown ids (and a device addressed twice in one round) come back as
 // per-request typed error replies.
 
@@ -266,9 +180,8 @@ fn serve_grouped<S: BlockStore + Send, R: RngCore + CryptoRng>(
 
     let mut devices: Vec<Option<(&mut Hsm, &mut S)>> =
         hsms.iter_mut().zip(stores.iter_mut()).map(Some).collect();
-    // Stage jobs in ascending id order so seeds are drawn exactly like
-    // the batch path: the caller's RNG consumption is independent of the
-    // arrival order of the groups.
+    // Stage jobs in ascending id order so the caller's RNG consumption
+    // is independent of the arrival order of the groups.
     let mut staged: Vec<(usize, u64, Vec<HsmRequest>)> = Vec::with_capacity(n);
     for (pos, (id, requests)) in groups.into_iter().enumerate() {
         staged.push((pos, id, requests));

@@ -11,7 +11,7 @@
 //! Since the message-passing redesign, **all HSM traffic flows through a
 //! pluggable [`Transport`]**: every operation is a
 //! [`HsmRequest`]/[`HsmResponse`] exchange served by
-//! [`Hsm::handle`], and the transport decides whether messages pass
+//! [`Hsm::handle_batch`], and the transport decides whether messages pass
 //! in-process ([`Direct`]), round-trip through the canonical wire codec
 //! with byte metering ([`safetypin_proto::Serialized`]), or suffer
 //! injected faults ([`safetypin_proto::Faulty`]). The client-facing
@@ -320,33 +320,6 @@ impl<S: BlockStore + Send> Datacenter<S> {
         self.hsms.iter().map(|h| h.enrollment()).collect()
     }
 
-    /// Fetches every HSM's current enrollment record over the transport
-    /// (one batched `GetEnrollment` round) — picks up rotated BFE keys.
-    /// Failed or unreachable devices are skipped.
-    pub fn fetch_enrollments(&mut self) -> Result<Vec<EnrollmentRecord>, ProviderError> {
-        let batch: Vec<_> = (0..self.hsms.len() as u64)
-            .map(|id| (id, HsmRequest::GetEnrollment))
-            .collect();
-        let mut rng = rand::thread_rng();
-        let Self {
-            hsms,
-            stores,
-            transport,
-            ..
-        } = self;
-        let replies = transport.exchange_batch(
-            batch,
-            &mut fanout::serve_traffic(hsms, stores, &mut rng, usize::MAX),
-        )?;
-        Ok(replies
-            .into_iter()
-            .filter_map(|(_, resp)| match resp {
-                HsmResponse::Enrollment(e) => Some(e),
-                _ => None,
-            })
-            .collect())
-    }
-
     /// Read access to one HSM (experiments).
     pub fn hsm(&self, id: u64) -> Result<&Hsm, ProviderError> {
         self.hsms
@@ -387,6 +360,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// Durable when a WAL is attached: the entry is committed to the
     /// provider-log WAL before the call returns.
     pub fn insert_log(&mut self, id: &[u8], value: &[u8]) -> Result<(), ProviderError> {
+        safetypin_telemetry::span!("recover.log_insert");
         self.log.insert(id, value)?;
         self.wal_append(WAL_INSERT, id, value);
         self.wal_flush();
@@ -457,40 +431,23 @@ impl<S: BlockStore + Send> Datacenter<S> {
         }
     }
 
-    /// Accepts one user's save: refreshes the fleet's enrollment records
-    /// (one batched transport round, mirroring what each saving client
-    /// observes), appends the save's content-addressed audit record to
-    /// the log, stores the blob, and commits the WAL. An identical
-    /// re-save (same username and blob) is idempotent. This is the
-    /// serial baseline [`save_many`](Self::save_many) amortizes.
-    pub fn save(&mut self, username: &[u8], blob: &[u8]) -> Result<(), ProviderError> {
-        self.fetch_enrollments()?;
-        let (id, value) = save_record(username, blob);
-        match self.log.insert(&id, &value) {
-            Ok(()) => {
-                self.wal_append(WAL_SAVE, username, blob);
-                self.wal_flush();
-            }
-            Err(LogError::DuplicateIdentifier) => {}
-            Err(e) => return Err(e.into()),
-        }
-        self.backups.insert(username.to_vec(), blob.to_vec());
-        Ok(())
-    }
-
-    /// The save-path throughput engine: accepts a whole wave of saves
-    /// under **one** enrollment-refresh round (grouped envelopes per HSM
-    /// per direction via `exchange_grouped`, the save-side analogue of
-    /// the multi-user recovery round), **one** batched log insertion
-    /// ([`Log::insert_many`] — each touched trie node hashed once per
-    /// wave), and **one** group-commit WAL flush. Per-user outcomes come
-    /// back in request order; log state and digests are byte-identical
-    /// to serial [`save`](Self::save) calls in the same order.
+    /// The one save path: accepts a wave of saves (a lone save is a
+    /// wave of one) under **one** enrollment-refresh round
+    /// ([`fetch_enrollments`](Self::fetch_enrollments)), **one** batched
+    /// log insertion ([`Log::insert_many`] — each touched trie node
+    /// hashed once per wave), and **one** group-commit WAL flush. Each
+    /// save appends its content-addressed audit record
+    /// ([`save_record`]) and stores its blob; an identical re-save
+    /// (same username and blob) is idempotent. Per-user outcomes come
+    /// back in request order, and log state and digests are
+    /// byte-identical to saving the same users in waves of one. Fails
+    /// whole-wave only on a transport error in the refresh round.
     pub fn save_many(&mut self, saves: &[SaveRequest]) -> Result<Vec<SaveOutcome>, ProviderError> {
+        safetypin_telemetry::span!("save.commit");
         if saves.is_empty() {
             return Ok(Vec::new());
         }
-        self.fetch_enrollments_grouped()?;
+        self.fetch_enrollments()?;
         let items: Vec<(Vec<u8>, Vec<u8>)> = saves
             .iter()
             .map(|s| save_record(&s.username, &s.blob))
@@ -524,10 +481,12 @@ impl<S: BlockStore + Send> Datacenter<S> {
         Ok(outcomes)
     }
 
-    /// [`fetch_enrollments`](Self::fetch_enrollments) as a grouped round
-    /// (one coalesced envelope per HSM per direction): the save engine's
-    /// amortized per-wave enrollment refresh.
-    pub fn fetch_enrollments_grouped(&mut self) -> Result<Vec<EnrollmentRecord>, ProviderError> {
+    /// Fetches every HSM's current enrollment record over the transport
+    /// (one grouped `GetEnrollment` round, one envelope per HSM per
+    /// direction) — picks up rotated BFE keys. This is the save path's
+    /// per-wave enrollment refresh. Failed or unreachable devices are
+    /// skipped.
+    pub fn fetch_enrollments(&mut self) -> Result<Vec<EnrollmentRecord>, ProviderError> {
         let grouped: Vec<(u64, Vec<HsmRequest>)> = (0..self.hsms.len() as u64)
             .map(|id| (id, vec![HsmRequest::GetEnrollment]))
             .collect();
@@ -558,6 +517,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// Serves an inclusion proof (Figure 3, step 5). Valid against the
     /// digest the HSMs hold once the covering epoch has run.
     pub fn prove_inclusion(&self, id: &[u8], value: &[u8]) -> Option<InclusionProof> {
+        safetypin_telemetry::span!("recover.inclusion");
         self.log.prove_includes(id, value)
     }
 
@@ -569,6 +529,7 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// transport fault simply misses this epoch's signer set; the epoch
     /// still certifies if the quorum holds.
     pub fn run_epoch(&mut self) -> Result<EpochOutcome, ProviderError> {
+        safetypin_telemetry::span!("recover.epoch");
         // Streaming certification: the chunk-boundary digests were
         // recorded incrementally as entries arrived (`Log` digest
         // marks), so assembling the update replays no insert steps —
@@ -778,141 +739,30 @@ impl<S: BlockStore + Send> Datacenter<S> {
         self.resync_hsm(id)
     }
 
-    /// Routes a recovery request to HSM `hsm_id` (Figure 3, steps 6–7),
-    /// keeping a copy of the reply for the §8 failure-during-recovery
-    /// flow.
-    pub fn route_recovery<R: RngCore + CryptoRng>(
-        &mut self,
-        hsm_id: u64,
-        request: &RecoveryRequest,
-        rng: &mut R,
-    ) -> Result<RecoveryResponse, ProviderError> {
-        self.route_recovery_with_phases(hsm_id, request, rng)
-            .map(|(r, _)| r)
-    }
-
-    /// [`route_recovery`](Self::route_recovery) plus the HSM's per-phase
-    /// cost attribution (Figure 10).
-    pub fn route_recovery_with_phases<R: RngCore + CryptoRng>(
-        &mut self,
-        hsm_id: u64,
-        request: &RecoveryRequest,
-        rng: &mut R,
-    ) -> Result<(RecoveryResponse, RecoveryPhases), ProviderError> {
-        if hsm_id as usize >= self.hsms.len() {
-            return Err(ProviderError::UnknownHsm(hsm_id));
-        }
-        let username = request.username.clone();
-        let reply = {
-            let Self {
-                hsms,
-                stores,
-                transport,
-                ..
-            } = &mut *self;
-            transport.exchange(
-                hsm_id,
-                HsmRequest::RecoverShare(request.clone()),
-                &mut fanout::serve_traffic(hsms, stores, rng, usize::MAX),
-            )?
-        };
-        match reply {
-            HsmResponse::RecoveryShare { response, phases } => {
-                self.reply_copies.push((username, response.clone()));
-                Ok((response, phases))
-            }
-            HsmResponse::Error(e) => Err(ProviderError::Hsm((&e).into())),
-            _ => Err(ProviderError::Transport(ProtoError::UnexpectedMessage(
-                "expected RecoveryShare reply",
-            ))),
-        }
-    }
-
-    /// The batched multi-HSM recovery round (Figure 3 steps 6–7 for the
-    /// whole cluster): packs every per-HSM request into **one** transport
-    /// envelope, fans it out, and returns per-HSM outcomes in request
-    /// order. Lost or refused replies come back as per-item errors so
-    /// the caller can reconstruct from whatever cleared the threshold.
-    #[allow(clippy::type_complexity)]
-    pub fn route_recovery_cluster<R: RngCore + CryptoRng>(
-        &mut self,
-        requests: Vec<(u64, RecoveryRequest)>,
-        rng: &mut R,
-    ) -> Result<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>, ProviderError>
-    {
-        let usernames: std::collections::BTreeMap<u64, Vec<u8>> = requests
-            .iter()
-            .map(|(id, r)| (*id, r.username.clone()))
-            .collect();
-        let batch: Vec<_> = requests
-            .into_iter()
-            .map(|(id, r)| (id, HsmRequest::RecoverShare(r)))
-            .collect();
-        let replies = {
-            let Self {
-                hsms,
-                stores,
-                transport,
-                ..
-            } = &mut *self;
-            transport.exchange_batch(
-                batch,
-                &mut fanout::serve_traffic(hsms, stores, rng, usize::MAX),
-            )?
-        };
-        let mut out = Vec::with_capacity(replies.len());
-        for (id, resp) in replies {
-            let item = match resp {
-                HsmResponse::RecoveryShare { response, phases } => {
-                    if let Some(username) = usernames.get(&id) {
-                        self.reply_copies.push((username.clone(), response.clone()));
-                    }
-                    Ok((response, phases))
-                }
-                HsmResponse::Error(e) => Err(HsmError::from(&e)),
-                _ => Err(HsmError::Wire(
-                    safetypin_primitives::error::WireError::InvalidTag(0),
-                )),
-            };
-            out.push((id, item));
-        }
-        Ok(out)
-    }
-
-    /// The **multi-user** recovery round (the serving engine's transport
-    /// leg): takes one per-HSM request list per user, coalesces every
-    /// request bound for the same HSM — across users — into **one
-    /// envelope per HSM per direction**, and lets each device serve its
-    /// whole group under a single group-commit durability barrier
-    /// ([`Hsm::handle_batch`]). Per-user outcomes come back in request
-    /// order, exactly shaped like
-    /// [`route_recovery_cluster`](Self::route_recovery_cluster)'s.
+    /// The recovery round (Figure 3 steps 6–7) for a wave of users — a
+    /// lone recovery is a wave of one. Takes one per-HSM request list
+    /// per user, coalesces every request bound for the same HSM —
+    /// across users — into **one envelope per HSM per direction**, and
+    /// lets each device serve its whole group under a single
+    /// group-commit durability barrier ([`Hsm::handle_batch`]).
+    /// Per-user outcomes come back in request order; lost or refused
+    /// replies come back as per-item errors so the caller can
+    /// reconstruct from whatever cleared the threshold.
     ///
-    /// Reply copies for the §8 failure-during-recovery flow are stored
-    /// for every share that cleared, per user, like the single-user
-    /// path.
+    /// `workers` caps the per-HSM fan-out threads (1 = serial); outcomes
+    /// are byte-identical for any cap, since each device's group runs
+    /// under its own sequentially-seeded RNG stream. Reply copies for
+    /// the §8 failure-during-recovery flow are stored for every share
+    /// that cleared.
     #[allow(clippy::type_complexity)]
-    pub fn route_recovery_multi<R: RngCore + CryptoRng>(
-        &mut self,
-        users: Vec<Vec<(u64, RecoveryRequest)>>,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>>, ProviderError>
-    {
-        self.route_recovery_multi_with_workers(users, usize::MAX, rng)
-    }
-
-    /// [`route_recovery_multi`](Self::route_recovery_multi) with an
-    /// explicit worker-thread cap for the per-HSM fan-out (1 = serial;
-    /// outcomes are byte-identical for any cap — each device's group
-    /// runs under its own sequentially-seeded RNG stream).
-    #[allow(clippy::type_complexity)]
-    pub fn route_recovery_multi_with_workers<R: RngCore + CryptoRng>(
+    pub fn route_recovery<R: RngCore + CryptoRng>(
         &mut self,
         users: Vec<Vec<(u64, RecoveryRequest)>>,
         workers: usize,
         rng: &mut R,
     ) -> Result<Vec<Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>>, ProviderError>
     {
+        safetypin_telemetry::span!("recover.cluster_round");
         // Coalesce across users: one group per addressed HSM, items in
         // (user, position) order, with a slot map to reassemble.
         let mut groups: std::collections::BTreeMap<u64, Vec<HsmRequest>> = Default::default();
@@ -981,68 +831,39 @@ impl<S: BlockStore + Send> Datacenter<S> {
     /// [`ProviderRequest`] maps onto the corresponding orchestration
     /// method, with failures encoded as [`ProviderResponse::Error`]
     /// replies. This is the surface a network front-end would expose.
+    /// `Recover` and `PutBackup` are waves of one through the same
+    /// methods and reply mapping as `RecoverBatch` and `SaveBatch`.
     pub fn handle<R: RngCore + CryptoRng>(
         &mut self,
         request: ProviderRequest,
         rng: &mut R,
     ) -> ProviderResponse {
-        // The wire-facing phase spans mirror the in-process ones in
-        // `Deployment::recover`/`save`: a client driving the protocol
-        // request-by-request over a daemon lands in the same Figure-10
-        // histograms as one calling the library directly.
         match request {
             ProviderRequest::FetchEnrollments => ProviderResponse::Enrollments(self.enrollments()),
-            ProviderRequest::InsertLog { id, value } => {
-                safetypin_telemetry::span!("recover.log_insert");
-                match self.insert_log(&id, &value) {
-                    Ok(()) => ProviderResponse::Ack,
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::LOG_REFUSED, e.to_string()))
-                    }
+            ProviderRequest::InsertLog { id, value } => match self.insert_log(&id, &value) {
+                Ok(()) => ProviderResponse::Ack,
+                Err(e) => {
+                    ProviderResponse::Error(ErrorReply::new(codes::LOG_REFUSED, e.to_string()))
                 }
-            }
+            },
             ProviderRequest::ProveInclusion { id, value } => {
-                safetypin_telemetry::span!("recover.inclusion");
                 ProviderResponse::Inclusion(self.prove_inclusion(&id, &value))
             }
-            ProviderRequest::RunEpoch => {
-                safetypin_telemetry::span!("recover.epoch");
-                match self.run_epoch() {
-                    Ok(outcome) => ProviderResponse::EpochCertified {
-                        message: outcome.message,
-                        signer_count: outcome.signers.len() as u32,
-                    },
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::EPOCH_FAILED, e.to_string()))
-                    }
+            ProviderRequest::RunEpoch => match self.run_epoch() {
+                Ok(outcome) => ProviderResponse::EpochCertified {
+                    message: outcome.message,
+                    signer_count: outcome.signers.len() as u32,
+                },
+                Err(e) => {
+                    ProviderResponse::Error(ErrorReply::new(codes::EPOCH_FAILED, e.to_string()))
                 }
-            }
+            },
             ProviderRequest::Recover(requests) => {
-                safetypin_telemetry::span!("recover.cluster_round");
-                match self.route_recovery_cluster(requests, rng) {
-                    Ok(items) => ProviderResponse::Recovered(
-                        items
-                            .into_iter()
-                            .map(|(id, item)| {
-                                let resp = match item {
-                                    Ok((response, phases)) => {
-                                        HsmResponse::RecoveryShare { response, phases }
-                                    }
-                                    Err(e) => HsmResponse::Error((&e).into()),
-                                };
-                                (id, resp)
-                            })
-                            .collect(),
+                match self.route_recovery(vec![requests], usize::MAX, rng) {
+                    Ok(per_user) => ProviderResponse::Recovered(
+                        per_user.into_iter().flat_map(share_replies).collect(),
                     ),
-                    // route_recovery_cluster only fails whole-round on a
-                    // transport-level error (per-HSM refusals come back
-                    // as items), so report it with a transport code.
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string()))
-                    }
+                    Err(e) => round_error(e),
                 }
             }
             ProviderRequest::FetchReplyCopies { username } => ProviderResponse::ReplyCopies(
@@ -1052,36 +873,11 @@ impl<S: BlockStore + Send> Datacenter<S> {
                     .collect(),
             ),
             ProviderRequest::RecoverBatch(users) => {
-                let routed = {
-                    safetypin_telemetry::span!("recover.cluster_round");
-                    self.route_recovery_multi(users, rng)
-                };
-                match routed {
+                match self.route_recovery(users, usize::MAX, rng) {
                     Ok(per_user) => ProviderResponse::RecoveredBatch(
-                        per_user
-                            .into_iter()
-                            .map(|items| {
-                                items
-                                    .into_iter()
-                                    .map(|(id, item)| {
-                                        let resp = match item {
-                                            Ok((response, phases)) => {
-                                                HsmResponse::RecoveryShare { response, phases }
-                                            }
-                                            Err(e) => HsmResponse::Error((&e).into()),
-                                        };
-                                        (id, resp)
-                                    })
-                                    .collect()
-                            })
-                            .collect(),
+                        per_user.into_iter().map(share_replies).collect(),
                     ),
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string()))
-                    }
+                    Err(e) => round_error(e),
                 }
             }
             ProviderRequest::PutBackup { username, blob } => {
@@ -1089,42 +885,18 @@ impl<S: BlockStore + Send> Datacenter<S> {
                 // content-addressed audit record lands in the log (an
                 // identical re-save is idempotent), so a wire-level
                 // retry of PutBackup can never double-record a save.
-                let saved = {
-                    safetypin_telemetry::span!("save.commit");
-                    self.save(&username, &blob)
-                };
-                match saved {
-                    Ok(()) => ProviderResponse::Ack,
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(ProviderError::Transport(_)) => ProviderResponse::Error(ErrorReply::new(
-                        codes::CORRUPTED,
-                        "enrollment refresh failed",
-                    )),
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::LOG_REFUSED, e.to_string()))
-                    }
+                match self.save_many(&[SaveRequest { username, blob }]) {
+                    Ok(outcomes) => match outcomes.into_iter().next().and_then(|o| o.error) {
+                        None => ProviderResponse::Ack,
+                        Some(e) => ProviderResponse::Error(e),
+                    },
+                    Err(e) => round_error(e),
                 }
             }
-            ProviderRequest::SaveBatch(saves) => {
-                let saved = {
-                    safetypin_telemetry::span!("save.commit");
-                    self.save_many(&saves)
-                };
-                match saved {
-                    Ok(outcomes) => ProviderResponse::SavedBatch(outcomes),
-                    // save_many only fails whole-wave on a transport-level
-                    // error in the enrollment-refresh round (per-save
-                    // refusals come back as outcomes).
-                    Err(ProviderError::Transport(ProtoError::Dropped)) => {
-                        ProviderResponse::Error(ErrorReply::dropped())
-                    }
-                    Err(e) => {
-                        ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string()))
-                    }
-                }
-            }
+            ProviderRequest::SaveBatch(saves) => match self.save_many(&saves) {
+                Ok(outcomes) => ProviderResponse::SavedBatch(outcomes),
+                Err(e) => round_error(e),
+            },
             ProviderRequest::FetchBackup { username } => {
                 ProviderResponse::Backup(self.backups.get(&username).cloned())
             }
@@ -1311,6 +1083,37 @@ impl<S: BlockStore + Send> Datacenter<S> {
             .filter(|h| h.needs_rotation())
             .map(|h| h.id())
             .collect()
+    }
+}
+
+/// One user's recovery-round outcomes as wire replies: shares (with
+/// their phase meters) and per-HSM refusals.
+#[allow(clippy::type_complexity)]
+fn share_replies(
+    items: Vec<(u64, Result<(RecoveryResponse, RecoveryPhases), HsmError>)>,
+) -> Vec<(u64, HsmResponse)> {
+    items
+        .into_iter()
+        .map(|(id, item)| {
+            let reply = match item {
+                Ok((response, phases)) => HsmResponse::RecoveryShare { response, phases },
+                Err(e) => HsmResponse::Error((&e).into()),
+            };
+            (id, reply)
+        })
+        .collect()
+}
+
+/// The wire reply for a recovery or save round that failed whole.
+/// Both rounds fail whole only on a transport-level error (per-HSM and
+/// per-save refusals come back as items), so the reply carries a
+/// transport code.
+fn round_error(e: ProviderError) -> ProviderResponse {
+    match e {
+        ProviderError::Transport(ProtoError::Dropped) => {
+            ProviderResponse::Error(ErrorReply::dropped())
+        }
+        e => ProviderResponse::Error(ErrorReply::new(codes::CORRUPTED, e.to_string())),
     }
 }
 

@@ -166,26 +166,35 @@ fn end_to_end_recovery_through_datacenter() {
     dc.run_epoch().unwrap();
     let inclusion = dc.prove_inclusion(b"zoe", &commitment.to_bytes()).unwrap();
 
-    // Contact each distinct cluster HSM through the datacenter.
+    // Contact each distinct cluster HSM through the datacenter: one
+    // recovery round for a wave of one user.
     let mut by_hsm: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
     for (j, &i) in cluster.iter().enumerate() {
         by_hsm.entry(i).or_default().push(j as u32);
     }
+    let requests: Vec<(u64, RecoveryRequest)> = by_hsm
+        .into_iter()
+        .map(|(hsm_id, positions)| {
+            let request = RecoveryRequest {
+                username: b"zoe".to_vec(),
+                salt,
+                opening: opening.clone(),
+                inclusion: inclusion.clone(),
+                ciphertext: ct_bytes.clone(),
+                share_indices: positions,
+                recovery_pk: None,
+                auditor_endorsements: Vec::new(),
+            };
+            (hsm_id, request)
+        })
+        .collect();
     let mut shares: Vec<Share> = Vec::new();
-    for (hsm_id, positions) in by_hsm {
-        let request = RecoveryRequest {
-            username: b"zoe".to_vec(),
-            salt,
-            opening: opening.clone(),
-            inclusion: inclusion.clone(),
-            ciphertext: ct_bytes.clone(),
-            share_indices: positions,
-            recovery_pk: None,
-            auditor_endorsements: Vec::new(),
-        };
-        match dc.route_recovery(hsm_id, &request, &mut rng).unwrap() {
-            RecoveryResponse::Plain(s) => shares.extend(s),
-            RecoveryResponse::Encrypted(_) => panic!("expected plain"),
+    for user in dc.route_recovery(vec![requests], 1, &mut rng).unwrap() {
+        for (_, item) in user {
+            match item.unwrap().0 {
+                RecoveryResponse::Plain(s) => shares.extend(s),
+                RecoveryResponse::Encrypted(_) => panic!("expected plain"),
+            }
         }
     }
     let msg = reconstruct(&params, b"zoe", &ct, &shares[..params.threshold]).unwrap();

@@ -137,6 +137,10 @@ fn daemon_metrics_cover_every_layer_over_the_wire() {
 /// faults fired" instead of inferring from recovery outcomes.
 #[test]
 fn faulty_injections_land_in_telemetry_exactly() {
+    // The recovery below records phase spans into the process-wide
+    // registry, which `phase_spans_are_recorded_once_per_operation`
+    // counts exactly.
+    let _guard = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::new();
     // The recovery round only touches one cluster (a handful of HSMs),
     // so the probabilities are high to make the deterministic seed
@@ -175,6 +179,56 @@ fn faulty_injections_land_in_telemetry_exactly() {
     // The private registry kept the process-wide ledger untouched.
     let global = safetypin_telemetry::global().snapshot();
     assert_eq!(global.counter("faults.injected_drop").unwrap_or(0), 0);
+}
+
+/// Each Figure-10 phase span is written once per operation: the
+/// provider phases inside the `Datacenter` methods that do the work,
+/// the client phases and one `*.total` per call in `Deployment`. A
+/// wire-dispatched save records the provider phase alone.
+#[test]
+fn phase_spans_are_recorded_once_per_operation() {
+    let _guard = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    safetypin_telemetry::global().set_enabled(true);
+    let phases = [
+        "recover.total",
+        "recover.log_insert",
+        "recover.epoch",
+        "recover.inclusion",
+        "recover.cluster_round",
+        "recover.finish",
+        "save.total",
+        "save.seal",
+        "save.commit",
+    ];
+    let counts = || {
+        let snapshot = safetypin_telemetry::global().snapshot();
+        phases.map(|name| snapshot.histogram(name).map_or(0, |h| h.count))
+    };
+
+    let mut rng = StdRng::seed_from_u64(0x5BA4);
+    let mut d = Deployment::provision(SystemParams::test_small(8), &mut rng).unwrap();
+    let before = counts();
+    let artifact = d
+        .save(b"span-user", b"271828", b"spanned", &mut rng)
+        .unwrap();
+    let client = d.new_client(b"span-user").unwrap();
+    let outcome = d.recover(&client, b"271828", &artifact, &mut rng).unwrap();
+    assert_eq!(outcome.message, b"spanned");
+    let after = counts();
+    for ((name, before), after) in phases.iter().zip(before).zip(after) {
+        assert_eq!(after - before, 1, "{name} recorded per operation");
+    }
+
+    let put = ProviderRequest::PutBackup {
+        username: b"span-wire-user".to_vec(),
+        blob: b"opaque".to_vec(),
+    };
+    assert_eq!(d.handle(put, &mut rng), ProviderResponse::Ack);
+    let wired = counts();
+    for ((name, after), wired) in phases.iter().zip(after).zip(wired) {
+        let expected = u64::from(*name == "save.commit");
+        assert_eq!(wired - after, expected, "{name} over the wire dispatch");
+    }
 }
 
 /// Acceptance criterion: a load storm with telemetry enabled stays

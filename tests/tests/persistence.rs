@@ -130,8 +130,10 @@ fn fleet_survives_restart_mid_recovery() {
     let mut responses = Vec::new();
     for (_, item) in restored
         .datacenter
-        .route_recovery_cluster(requests, &mut rng)
+        .route_recovery(vec![requests], usize::MAX, &mut rng)
         .unwrap()
+        .into_iter()
+        .flatten()
     {
         responses.push(item.unwrap().0);
     }
@@ -280,7 +282,7 @@ fn engine_wave_punctures_survive_a_kill_before_response_delivery() {
     let flushes_before = restored.datacenter.fleet_store_stats().flushes;
     let served = restored
         .datacenter
-        .route_recovery_multi(requests, &mut rng)
+        .route_recovery(requests, usize::MAX, &mut rng)
         .unwrap();
     let flushes_after = restored.datacenter.fleet_store_stats().flushes;
     assert_eq!(

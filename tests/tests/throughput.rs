@@ -1,12 +1,13 @@
-//! Multi-user recovery engine acceptance tests.
+//! Multi-user recovery acceptance tests.
 //!
-//! The engine (`Deployment::recover_many`) interleaves many users'
-//! recoveries — one epoch per wave, one envelope per HSM per direction,
-//! cross-user coalesced punctures under a single group commit — and the
-//! contract pinned here is that **none of that machinery is observable
-//! in the outcomes**: the served `RecoveryResponse` bytes are identical
-//! to recovering the same users one at a time, for any worker count,
-//! any wave size, and over `Direct` and `Serialized` transports alike.
+//! `Deployment::recover_many` serves one wave of users' recoveries — one
+//! epoch per wave, one envelope per HSM per direction, cross-user
+//! coalesced punctures under a single group commit — and a lone
+//! recovery (`Deployment::recover`) is a wave of one. The contract
+//! pinned here is that **the wave size is not observable in the
+//! outcomes**: N waves of one ≡ one wave of N ≡ any chunking in between,
+//! byte for byte in the served `RecoveryResponse`s, for any worker
+//! count, and over `Direct` and `Serialized` transports alike.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,28 +57,29 @@ fn reply_bytes(d: &Deployment, user: usize) -> Vec<Vec<u8>> {
     bytes
 }
 
-/// Runs both paths on identically-seeded worlds and asserts per-user
-/// byte-identical outcomes.
-fn assert_engine_matches_serial(
+/// Recovers every user in waves of one on one world and in waves of
+/// `wave` users (the sessions chunked here) on an identically-seeded
+/// twin, and asserts per-user byte-identical outcomes.
+fn assert_wave_size_is_unobservable(
     make_transport: impl Fn() -> Box<dyn Transport>,
     users: usize,
     wave: usize,
     workers: usize,
     seed: u64,
 ) {
-    // World A: one-at-a-time serial baseline.
-    let (mut serial, serial_sessions, mut rng_a) = world(make_transport(), users, seed);
-    let mut serial_messages = Vec::with_capacity(users);
-    for (client, artifact) in &serial_sessions {
-        let outcome = serial
+    // World A: N waves of one.
+    let (mut ones, ones_sessions, mut rng_a) = world(make_transport(), users, seed);
+    let mut ones_messages = Vec::with_capacity(users);
+    for (client, artifact) in &ones_sessions {
+        let outcome = ones
             .recover(client, b"271801", artifact, &mut rng_a)
             .unwrap();
-        serial_messages.push(outcome.message);
+        ones_messages.push(outcome.message);
     }
 
-    // World B: the engine, same seed, chosen wave/worker shape.
-    let (mut engine, engine_sessions, mut rng_b) = world(make_transport(), users, seed);
-    let sessions: Vec<RecoverySession<'_>> = engine_sessions
+    // World B: same seed, waves of `wave` users on `workers` threads.
+    let (mut waved, waved_sessions, mut rng_b) = world(make_transport(), users, seed);
+    let sessions: Vec<RecoverySession<'_>> = waved_sessions
         .iter()
         .map(|(client, artifact)| RecoverySession {
             client,
@@ -85,27 +87,31 @@ fn assert_engine_matches_serial(
             artifact,
         })
         .collect();
-    let outcomes = engine.recover_many(&sessions, RecoverManyOptions { wave, workers }, &mut rng_b);
+    let opts = RecoverManyOptions::default().with_workers(workers);
+    let outcomes: Vec<_> = sessions
+        .chunks(wave)
+        .flat_map(|chunk| waved.recover_many(chunk, opts, &mut rng_b))
+        .collect();
 
     assert_eq!(outcomes.len(), users);
     for (u, outcome) in outcomes.into_iter().enumerate() {
         let outcome = outcome.unwrap_or_else(|e| panic!("user {u} failed: {e}"));
         assert_eq!(
-            outcome.message, serial_messages[u],
-            "user {u}: engine plaintext diverged from serial"
+            outcome.message, ones_messages[u],
+            "user {u}: plaintext diverged from the waves of one"
         );
         assert_eq!(
-            reply_bytes(&engine, u),
-            reply_bytes(&serial, u),
+            reply_bytes(&waved, u),
+            reply_bytes(&ones, u),
             "user {u}: served RecoveryResponse bytes diverged \
              (users={users} wave={wave} workers={workers})"
         );
     }
 
     // Both paths consumed every user's one attempt.
-    for (client, artifact) in &engine_sessions {
+    for (client, artifact) in &waved_sessions {
         assert!(matches!(
-            engine.recover(client, b"271801", artifact, &mut rng_b),
+            waved.recover(client, b"271801", artifact, &mut rng_b),
             Err(DeploymentError::AttemptRefused)
         ));
     }
@@ -114,8 +120,9 @@ fn assert_engine_matches_serial(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Determinism sweep: serial ≡ engine for any (user count, wave
-    /// size, worker count) shape, over the Direct transport.
+    /// Determinism sweep: N waves of one ≡ waves of any size, for any
+    /// (user count, wave size, worker count) shape, over the Direct
+    /// transport.
     #[test]
     fn engine_is_serial_equivalent_for_any_shape(
         users in 1usize..5,
@@ -123,7 +130,7 @@ proptest! {
         workers in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_engine_matches_serial(|| Box::new(Direct::new()), users, wave, workers, seed);
+        assert_wave_size_is_unobservable(|| Box::new(Direct::new()), users, wave, workers, seed);
     }
 }
 
@@ -132,13 +139,13 @@ proptest! {
 /// meters.
 #[test]
 fn engine_is_serial_equivalent_over_serialized_transport() {
-    assert_engine_matches_serial(|| Box::new(Serialized::cdc()), 3, 2, 2, 0x05E7_1A11);
-    assert_engine_matches_serial(|| Box::new(Serialized::cdc()), 4, 4, 1, 0x05E7_1A12);
+    assert_wave_size_is_unobservable(|| Box::new(Serialized::cdc()), 3, 2, 2, 0x05E7_1A11);
+    assert_wave_size_is_unobservable(|| Box::new(Serialized::cdc()), 4, 4, 1, 0x05E7_1A12);
 }
 
-/// Direct and Serialized agree with *each other* through the engine,
-/// and the Serialized engine round ships exactly one envelope per
-/// contacted HSM per direction (plus the epoch fan-out).
+/// Direct and Serialized agree with *each other* through one wave, and
+/// the Serialized wave ships exactly one envelope per contacted HSM per
+/// direction (plus the epoch fan-out).
 #[test]
 fn engine_direct_and_serialized_agree_and_envelopes_are_per_device() {
     const USERS: usize = 4;
@@ -171,7 +178,7 @@ fn engine_direct_and_serialized_agree_and_envelopes_are_per_device() {
         assert_eq!(reply_bytes(&direct, u), reply_bytes(&serialized, u));
     }
 
-    // Envelope accounting: every recovery envelope in the engine round
+    // Envelope accounting: every recovery envelope in the wave's round
     // is per-device, so the whole storm's recovery leg needs at most
     // 2 × fleet envelopes regardless of the user count.
     let stats = serialized.datacenter.transport_stats();
@@ -214,8 +221,8 @@ fn engine_isolates_per_user_refusals() {
     assert!(outcomes[2].is_ok(), "user 2 must clear");
 }
 
-/// The engine amortizes the log work: a wave of N users runs ONE epoch
-/// (the serial loop runs N), and the per-user wire traffic falls as the
+/// One wave amortizes the log work: a wave of N users runs ONE epoch
+/// (N waves of one run N), and the per-user wire traffic falls as the
 /// wave grows.
 #[test]
 fn engine_amortizes_epochs_and_wire_traffic() {
@@ -238,7 +245,7 @@ fn engine_amortizes_epochs_and_wire_traffic() {
         "one wave = one epoch"
     );
 
-    // Serial comparison world: same users, one at a time.
+    // Comparison world: same users, N waves of one.
     let (mut serial, serial_data, mut rng_s) = world(Box::new(Serialized::cdc()), USERS, 0xA307);
     let serial_before = serial.datacenter.transport_stats();
     for (client, artifact) in &serial_data {
@@ -254,12 +261,12 @@ fn engine_amortizes_epochs_and_wire_traffic() {
     let engine_bytes = d.datacenter.transport_stats().total_bytes();
     assert!(
         engine_bytes < serial_bytes,
-        "engine wave must move fewer bytes than the serial loop \
+        "one wave must move fewer bytes than N waves of one \
          ({engine_bytes} vs {serial_bytes})"
     );
 }
 
-/// The engine's client-facing message: `RecoverBatch` through
+/// The wave's client-facing message: `RecoverBatch` through
 /// `Datacenter::handle` serves many users in one dispatch and reports
 /// per-user per-HSM outcomes.
 #[test]

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safetypin::proto::{
     Direct, FaultPlan, Faulty, HsmResponse, Message, ProviderRequest, ProviderResponse,
-    RecoveryResponse, Serialized, Transport,
+    RecoveryResponse, SaveRequest, Serialized, Transport,
 };
 use safetypin::{Deployment, DeploymentError, SystemParams};
 
@@ -92,12 +92,13 @@ fn serialized_recovery_bytes_within_ciphertext_proof_envelope() {
     let before = d.datacenter.transport_stats();
     let results = d
         .datacenter
-        .route_recovery_cluster(requests, &mut rng)
+        .route_recovery(vec![requests], usize::MAX, &mut rng)
         .unwrap();
     let wire = d.datacenter.transport_stats().since(&before);
 
     let responses: Vec<_> = results
         .into_iter()
+        .flatten()
         .filter_map(|(_, item)| item.ok().map(|(resp, _)| resp))
         .collect();
     assert!(!responses.is_empty());
@@ -130,9 +131,239 @@ fn serialized_recovery_bytes_within_ciphertext_proof_envelope() {
         wire.response_bytes,
         wire.request_bytes
     );
-    // The whole cluster round was packed into one envelope per direction.
-    assert_eq!(wire.envelopes, 2);
+    // The cluster round ships one envelope per contacted device per
+    // direction (each device's group travels alone).
+    assert_eq!(wire.envelopes, 2 * contacted);
     assert_eq!(wire.messages, 2 * contacted);
+}
+
+/// Drives one recovery's Figure 3 steps 3–5 through `Deployment::handle`
+/// and returns the attempt plus its per-HSM requests, built against
+/// `proof` when given (a doctored proof) or the attempt's own.
+fn stage_over_messages(
+    d: &mut Deployment,
+    client: &safetypin::client::Client,
+    artifact: &safetypin::client::BackupArtifact,
+    proof: Option<&safetypin::authlog::InclusionProof>,
+    rng: &mut StdRng,
+) -> (
+    safetypin::client::RecoveryAttempt,
+    safetypin::authlog::InclusionProof,
+    Vec<(u64, safetypin::proto::RecoveryRequest)>,
+) {
+    let attempt = client
+        .start_recovery(b"112358", &artifact.ciphertext, false, rng)
+        .unwrap();
+    let (id, value) = attempt.log_entry();
+    let reply = d.handle(
+        ProviderRequest::InsertLog {
+            id: id.clone(),
+            value: value.clone(),
+        },
+        rng,
+    );
+    assert_eq!(reply, ProviderResponse::Ack);
+    assert!(matches!(
+        d.handle(ProviderRequest::RunEpoch, rng),
+        ProviderResponse::EpochCertified { .. }
+    ));
+    let ProviderResponse::Inclusion(Some(inclusion)) =
+        d.handle(ProviderRequest::ProveInclusion { id, value }, rng)
+    else {
+        panic!("no inclusion proof for a logged attempt");
+    };
+    let requests = attempt.requests(proof.unwrap_or(&inclusion));
+    (attempt, inclusion, requests)
+}
+
+/// One user's per-HSM replies.
+type Replies = Vec<(u64, HsmResponse)>;
+
+/// Serves `requests` on one deployment as `Recover` and on its twin as
+/// `RecoverBatch` of one, returning both per-HSM reply lists.
+fn serve_both_arms(
+    single: &mut Deployment,
+    rng_single: &mut StdRng,
+    batch: &mut Deployment,
+    rng_batch: &mut StdRng,
+    requests: Vec<(u64, safetypin::proto::RecoveryRequest)>,
+) -> (Replies, Replies) {
+    let ProviderResponse::Recovered(one) =
+        single.handle(ProviderRequest::Recover(requests.clone()), rng_single)
+    else {
+        panic!("Recover must answer Recovered");
+    };
+    let ProviderResponse::RecoveredBatch(mut wave) =
+        batch.handle(ProviderRequest::RecoverBatch(vec![requests]), rng_batch)
+    else {
+        panic!("RecoverBatch must answer RecoveredBatch");
+    };
+    assert_eq!(wave.len(), 1, "a batch of one answers one user");
+    (one, wave.remove(0))
+}
+
+fn reply_codes(replies: &[(u64, HsmResponse)]) -> Vec<(u64, Option<u16>)> {
+    replies
+        .iter()
+        .map(|(id, resp)| match resp {
+            HsmResponse::Error(e) => (*id, Some(e.code)),
+            _ => (*id, None),
+        })
+        .collect()
+}
+
+/// `Recover` is a wave of one: on identically seeded twins it returns
+/// the same share bytes and keeps the same reply copies as
+/// `RecoverBatch` of one, and a consumed attempt or a doctored inclusion
+/// proof gets the same per-item error codes on both arms.
+#[test]
+fn recover_arm_matches_recover_batch_of_one() {
+    use safetypin::primitives::wire::Encode;
+
+    let (mut single, mut rng_single) = deployment_with(Box::new(Direct::new()), 16, SEED + 9);
+    let (mut batch, mut rng_batch) = deployment_with(Box::new(Direct::new()), 16, SEED + 9);
+    let mut users = Vec::new();
+    for (d, rng) in [(&single, &mut rng_single), (&batch, &mut rng_batch)] {
+        let mut pair = Vec::new();
+        for name in [&b"arm-user"[..], b"arm-forger"] {
+            let mut client = d.new_client(name).unwrap();
+            let artifact = client.backup(b"112358", name, 0, rng).unwrap();
+            pair.push((client, artifact));
+        }
+        users.push(pair);
+    }
+    let (single_users, batch_users) = (&users[0], &users[1]);
+
+    // An honest recovery: byte-identical shares and reply copies.
+    let (attempt, proof_single, requests) = stage_over_messages(
+        &mut single,
+        &single_users[0].0,
+        &single_users[0].1,
+        None,
+        &mut rng_single,
+    );
+    let (_, proof_batch, twin_requests) = stage_over_messages(
+        &mut batch,
+        &batch_users[0].0,
+        &batch_users[0].1,
+        None,
+        &mut rng_batch,
+    );
+    assert_eq!(proof_single.to_bytes(), proof_batch.to_bytes());
+    assert_eq!(twin_requests, requests);
+    let (one, wave) = serve_both_arms(
+        &mut single,
+        &mut rng_single,
+        &mut batch,
+        &mut rng_batch,
+        requests.clone(),
+    );
+    let bytes = |replies: &[(u64, HsmResponse)]| {
+        replies
+            .iter()
+            .map(|(id, resp)| (*id, resp.to_bytes()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bytes(&one), bytes(&wave), "share replies differ by arm");
+    let shares: Vec<RecoveryResponse> = one
+        .into_iter()
+        .filter_map(|(_, resp)| match resp {
+            HsmResponse::RecoveryShare { response, .. } => Some(response),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(attempt.finish(shares).unwrap(), b"arm-user");
+    let copies = |d: &mut Deployment, rng: &mut StdRng| match d.handle(
+        ProviderRequest::FetchReplyCopies {
+            username: b"arm-user".to_vec(),
+        },
+        rng,
+    ) {
+        ProviderResponse::ReplyCopies(copies) => {
+            copies.iter().map(|c| c.to_bytes()).collect::<Vec<_>>()
+        }
+        other => panic!("unexpected reply: {other:?}"),
+    };
+    let copies_single = copies(&mut single, &mut rng_single);
+    assert!(!copies_single.is_empty());
+    assert_eq!(copies_single, copies(&mut batch, &mut rng_batch));
+
+    // A consumed attempt: replaying the served requests finds every
+    // share punctured, with the same error on both arms.
+    let (one, wave) = serve_both_arms(
+        &mut single,
+        &mut rng_single,
+        &mut batch,
+        &mut rng_batch,
+        requests,
+    );
+    assert!(reply_codes(&one).iter().all(|(_, code)| code.is_some()));
+    assert_eq!(reply_codes(&one), reply_codes(&wave));
+
+    // A doctored inclusion proof: the forger's requests carry the first
+    // user's proof, which no HSM accepts for the forger's entry.
+    let (_, _, forged) = stage_over_messages(
+        &mut single,
+        &single_users[1].0,
+        &single_users[1].1,
+        Some(&proof_single),
+        &mut rng_single,
+    );
+    let (_, _, twin_forged) = stage_over_messages(
+        &mut batch,
+        &batch_users[1].0,
+        &batch_users[1].1,
+        Some(&proof_batch),
+        &mut rng_batch,
+    );
+    assert_eq!(twin_forged, forged);
+    let (one, wave) = serve_both_arms(
+        &mut single,
+        &mut rng_single,
+        &mut batch,
+        &mut rng_batch,
+        forged,
+    );
+    assert!(reply_codes(&one).iter().all(|(_, code)| code.is_some()));
+    assert_eq!(reply_codes(&one), reply_codes(&wave));
+}
+
+/// `PutBackup` is a wave of one: on identically seeded twins it leaves
+/// the same log digest and serves the same backup bytes as `SaveBatch`
+/// of one, for a first save and an idempotent re-save alike.
+#[test]
+fn put_backup_arm_matches_save_batch_of_one() {
+    let (mut single, mut rng_single) = deployment_with(Box::new(Direct::new()), 8, SEED + 10);
+    let (mut batch, mut rng_batch) = deployment_with(Box::new(Direct::new()), 8, SEED + 10);
+    let username = b"arm-saver".to_vec();
+    for blob in [&b"first blob"[..], b"first blob", b"second blob"] {
+        let put = ProviderRequest::PutBackup {
+            username: username.clone(),
+            blob: blob.to_vec(),
+        };
+        assert_eq!(single.handle(put, &mut rng_single), ProviderResponse::Ack);
+        let save = SaveRequest {
+            username: username.clone(),
+            blob: blob.to_vec(),
+        };
+        match batch.handle(ProviderRequest::SaveBatch(vec![save]), &mut rng_batch) {
+            ProviderResponse::SavedBatch(outcomes) => {
+                assert_eq!(outcomes.len(), 1);
+                assert!(outcomes[0].saved());
+            }
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        assert_eq!(
+            single.datacenter.log_digest(),
+            batch.datacenter.log_digest()
+        );
+        let fetch = || ProviderRequest::FetchBackup {
+            username: username.clone(),
+        };
+        let backup = single.handle(fetch(), &mut rng_single);
+        assert_eq!(backup, ProviderResponse::Backup(Some(blob.to_vec())));
+        assert_eq!(backup, batch.handle(fetch(), &mut rng_batch));
+    }
 }
 
 /// The parallel per-HSM fan-out must be invisible to the protocol: a
